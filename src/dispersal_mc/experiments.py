@@ -315,7 +315,7 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo estimate with a normal-approximation 95% interval."""
+    """Monte-Carlo estimate with a Wilson score 95% interval."""
 
     estimate: float
     low: float
@@ -334,12 +334,14 @@ def monte_carlo(params: ModelParams, attacker: str, samples: int,
     x = [float(v) for v in params.x]
     p = [float(v) for v in params.p]
     n, m, c, k1 = params.n, params.m, params.c, params.k1
+    # Round-off can leave u >= the float sum of p: take the last pickable server.
+    fallback = max(j for j in range(m) if p[j] > 0)
 
     def route(counts, r) -> int:
         while True:
             u = r.random()
             acc = 0.0
-            i = m - 1
+            i = fallback
             for j in range(m):
                 acc += p[j]
                 if u < acc:
@@ -374,7 +376,12 @@ def monte_carlo(params: ModelParams, attacker: str, samples: int,
     else:
         raise ParameterError(f"unknown attacker kind {attacker!r}")
 
+    # Wilson score interval, which keeps a positive width at 0 or all hits.
+    z = 1.96
     estimate = hits / samples
-    half = 1.96 * math.sqrt(max(estimate * (1 - estimate), 0.0) / samples)
-    return McEstimate(estimate, max(0.0, estimate - half),
-                      min(1.0, estimate + half), samples, seed)
+    denom = 1 + z * z / samples
+    center = (estimate + z * z / (2 * samples)) / denom
+    half = z * math.sqrt(estimate * (1 - estimate) / samples
+                         + z * z / (4 * samples * samples)) / denom
+    return McEstimate(estimate, max(0.0, center - half),
+                      min(1.0, center + half), samples, seed)

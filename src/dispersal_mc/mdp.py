@@ -7,6 +7,7 @@ templates, and can be combined by synchronous parallel composition.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,6 +266,55 @@ def validate(m: Mdp) -> list[str]:
                 if not 0 <= t < n:
                     problems.append(f"state {i}, action {action!r}: target {t} is not a state")
     return problems
+
+
+def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
+    """Yield the strongly connected components of the transition graph, sinks first.
+
+    Iterative Tarjan: a component is yielded only after every component it can
+    reach, so a consumer may solve each one from the values of those before
+    it. States in ``absorbing`` are treated as having no successors.
+    """
+    n = len(m.states)
+    rows = m.transitions
+    index = [0] * n  # DFS number from 1; 0 marks an unvisited state
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    counter = itertools.count(1)
+
+    def visit(s):
+        index[s] = low[s] = next(counter)
+        stack.append(s)
+        on_stack[s] = 1
+        succ = () if s in absorbing else [t for d in rows[s].values() for t, _ in d.items()]
+        return s, iter(succ)
+
+    for root in range(n):
+        if index[root]:
+            continue
+        work = [visit(root)]
+        while work:
+            s, succ = work[-1]
+            for t in succ:
+                if not index[t]:
+                    work.append(visit(t))
+                    break
+                if on_stack[t] and index[t] < low[s]:
+                    low[s] = index[t]
+            else:
+                work.pop()
+                if work and low[s] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[s]
+                if low[s] == index[s]:
+                    comp = []
+                    while True:
+                        t = stack.pop()
+                        on_stack[t] = 0
+                        comp.append(t)
+                        if t == s:
+                            break
+                    yield comp
 
 
 def expand(module: TemplateModule,

@@ -1,10 +1,9 @@
 """Min/max reachability probabilities for explicit MDPs.
 
-Two engines share the same qualitative graph precomputation: a floating-point
-value iteration (Gauss-Seidel sweeps) and an exact rational policy-iteration
-solver backed by sparse Gaussian elimination. The qualitative sets pin states
-with probability exactly 0 or 1 before any numerics run, which avoids the
-fixpoint pitfalls around end components.
+One engine serves floats (``solve_reach``) and exact ``Fraction``s
+(``exact_reach``). It solves the strongly connected components sinks first
+(topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no value
+depends on a stopping rule; floats differ from exact values by rounding only.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .mdp import Mdp
+from .mdp import Distribution, Mdp, sccs
 
 
 class QueryError(ValueError):
@@ -21,31 +20,27 @@ class QueryError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Numeric solve failed; carries the last residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Numeric solve failed."""
 
 
 class ExactCapError(RuntimeError):
     """The model exceeds the configured size cap of the exact solver."""
 
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10 ** 6
 EXACT_STATE_CAP = 20_000
 
 
 @dataclass
 class ReachResult:
-    """Solved reachability query: both directions plus solver bookkeeping."""
+    """Solved reachability query: both directions plus the solver's effort.
+
+    ``iterations`` counts the policy evaluations (local linear solves) spent
+    on cyclic components, over both directions; an acyclic model needs none.
+    """
 
     pmin: float
     pmax: float
     iterations: int
-    residual: float
-    mode: str
 
 
 def target_states(m: Mdp, target: str) -> frozenset[int]:
@@ -177,78 +172,11 @@ def qualitative_sets(m: Mdp, target: str, direction: str) -> tuple[frozenset[int
     raise QueryError(f"direction must be 'min' or 'max', got {direction!r}")
 
 
-def _float_rows(m: Mdp, unknown: set[int]):
-    rows = {}
-    for s in unknown:
-        rows[s] = [dist.floats() for dist in m.transitions[s].values()]
-    return rows
-
-
-def _value_iteration(m: Mdp, target: str, direction: str,
-                     tol: float, max_iter: int) -> tuple[list[float], int, float]:
-    prob0, prob1 = qualitative_sets(m, target, direction)
-    n = len(m.states)
-    v = [0.0] * n
-    for s in prob1:
-        v[s] = 1.0
-    unknown = set(range(n)) - prob0 - prob1
-    if not unknown:
-        return v, 0, 0.0
-    rows = _float_rows(m, unknown)
-    # Later-discovered states sit closer to absorption in the built models,
-    # so sweeping in reverse discovery order propagates values in few passes.
-    order = sorted(unknown, reverse=True)
-    best_of = max if direction == "max" else min
-    residual = 0.0
-    for sweep in range(1, max_iter + 1):
-        residual = 0.0
-        for s in order:
-            new = best_of(
-                sum(p * v[t] for t, p in entries)
-                for entries in rows[s]
-            )
-            if __debug__ and new < v[s] - 1e-12:
-                raise AssertionError("value iteration iterate decreased from below")
-            delta = new - v[s]
-            if delta > residual:
-                residual = delta
-            v[s] = new
-        if residual < tol:
-            return v, sweep, residual
-    raise SolverError(
-        f"value iteration did not converge within {max_iter} sweeps", residual=residual)
-
-
-def _weighted_initial(m: Mdp, values) -> float:
-    return float(sum(float(w) * values[s] for s, w in m.initial.items()))
-
-
-def pmin_reach(m: Mdp, target: str, *, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Minimum probability, over all schedulers, of eventually hitting the target."""
-    v, _, _ = _value_iteration(m, target, "min", tol, max_iter)
-    return _weighted_initial(m, v)
-
-
-def pmax_reach(m: Mdp, target: str, *, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Maximum probability, over all schedulers, of eventually hitting the target."""
-    v, _, _ = _value_iteration(m, target, "max", tol, max_iter)
-    return _weighted_initial(m, v)
-
-
-def solve_reach(m: Mdp, target: str, *, tol: float = DEFAULT_TOL,
-                max_iter: int = DEFAULT_MAX_ITER) -> ReachResult:
-    """Both directions at once, with iteration/residual bookkeeping."""
-    vmin, it_min, r_min = _value_iteration(m, target, "min", tol, max_iter)
-    vmax, it_max, r_max = _value_iteration(m, target, "max", tol, max_iter)
-    return ReachResult(
-        pmin=_weighted_initial(m, vmin),
-        pmax=_weighted_initial(m, vmax),
-        iterations=it_min + it_max,
-        residual=max(r_min, r_max),
-        mode="vi",
-    )
+def solve_reach(m: Mdp, target: str) -> ReachResult:
+    """Min and max probability, over all schedulers, of eventually hitting the target."""
+    (vmin, vmax), rounds = _reach_values(m, target, (min, max), exact=False)
+    return ReachResult(pmin=float(_at_initial(m, vmin)),
+                       pmax=float(_at_initial(m, vmax)), iterations=rounds)
 
 
 def check_pctl_interval(m: Mdp, a, b, target: str, *, exact: bool = False) -> bool:
@@ -267,7 +195,120 @@ def check_pctl_interval(m: Mdp, a, b, target: str, *, exact: bool = False) -> bo
     return float(a) <= res.pmin and res.pmax <= float(b)
 
 
-# --- exact rational engine ---------------------------------------------------
+def exact_reach(m: Mdp, target: str, direction: str, *,
+                cap: int = EXACT_STATE_CAP) -> Fraction:
+    """Exact rational min or max probability of eventually hitting the target."""
+    if direction not in ("min", "max"):
+        raise QueryError(f"direction must be 'min' or 'max', got {direction!r}")
+    if len(m.states) > cap:
+        raise ExactCapError(
+            f"model has {len(m.states)} states, above the exact-solver cap {cap}")
+    (values,), _ = _reach_values(m, target, (max if direction == "max" else min,),
+                                 exact=True)
+    return _at_initial(m, values)
+
+
+# --- topological engine ------------------------------------------------------
+
+
+def _at_initial(m: Mdp, values):
+    return sum((w * values[s] for s, w in m.initial.items()), Fraction(0))
+
+
+def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
+    """Every state's value, one list per direction (``min`` or ``max`` in
+    ``bests``), and the policy evaluations spent.
+
+    Targets are absorbing, so each is an SCC of its own. Unsolved entries
+    hold the integer 0, which is also the value of a state without actions.
+    """
+    targets = target_states(m, target)
+    one = Fraction(1) if exact else 1.0
+    weights = Distribution.items if exact else Distribution.floats
+    values = [[0] * len(m.states) for _ in bests]
+    rounds = 0
+    for scc in sccs(m, targets):
+        if len(scc) == 1:
+            s = scc[0]
+            if s in targets:
+                for v in values:
+                    v[s] = one
+                continue
+            row = [weights(d) for d in m.transitions[s].values()]
+            if all(t != s for pairs in row for t, _ in pairs):
+                for v, best in zip(values, bests):
+                    if row:
+                        v[s] = best(sum(w * v[t] for t, w in pairs if v[t]) for pairs in row)
+                continue
+            acts = {s: row}
+        else:
+            acts = {s: [weights(d) for d in m.transitions[s].values()] for s in scc}
+        for v, best in zip(values, bests):
+            rounds += _solve_component(acts, v, best)
+    return values, rounds
+
+
+def _solve_component(acts, v, best) -> int:
+    """Solve one cyclic SCC in place by policy iteration, its exits final in ``v``.
+
+    Each action becomes (its weights inside the SCC, the value it collects
+    from its exits). For min, the SCC's Prob0 set (a scheduler can stay inside
+    or leave only to value-0 states) keeps 0; outside it every policy leaves
+    the SCC, so strict improvement ends at the optimum. For max, ``_evaluate``
+    takes least solutions, which are Bellman fixpoints once no improvement is
+    left. A repeated policy (float round-off between equal actions) also ends
+    the loop. Returns the number of policy evaluations.
+    """
+    split = {s: [({t: w for t, w in pairs if t in acts},
+                  sum(w * v[t] for t, w in pairs if t not in acts)) for pairs in row]
+             for s, row in acts.items()}
+    if best is min:
+        trap = set(split)
+        shrunk = True
+        while shrunk:
+            shrunk = False
+            for s in list(trap):
+                if all(b or not trap.issuperset(inner) for inner, b in split[s]):
+                    trap.discard(s)
+                    shrunk = True
+        for s in trap:
+            del split[s]
+    policy = dict.fromkeys(split, 0)
+    seen = set()
+    x: dict = {}
+    while split:
+        seen.add(tuple(policy.values()))
+        x = _evaluate({s: split[s][i] for s, i in policy.items()})
+        for s, row in split.items():
+            qs = [b + sum(w * x.get(t, 0) for t, w in inner.items()) for inner, b in row]
+            i = best(range(len(qs)), key=qs.__getitem__)
+            if qs[i] != qs[policy[s]]:  # switch on a strict improvement only
+                policy[s] = i
+        if tuple(policy.values()) in seen:
+            break
+    for s in acts:
+        v[s] = x.get(s, 0)
+    return len(seen)
+
+
+def _evaluate(chosen) -> dict:
+    """Least solution of x = inner x + b under one action per state.
+
+    Only states with a path to a positive exit are solved; the others,
+    absent from the result, have value 0. The system left is nonsingular,
+    since mass leaks out of it from every state.
+    """
+    alive = {s for s, (_, b) in chosen.items() if b}
+    grew = True
+    while grew:
+        grew = False
+        for s, (inner, _) in chosen.items():
+            if s not in alive and not alive.isdisjoint(inner):
+                alive.add(s)
+                grew = True
+    rows = {s: {t: w for t, w in chosen[s][0].items() if t in alive} for s in alive}
+    return _solve_linear(sorted(alive, reverse=True), rows,
+                         {s: chosen[s][1] for s in alive})
 
 
 def _solve_linear(order: list[int], rows: dict[int, dict[int, Fraction]],
@@ -288,7 +329,7 @@ def _solve_linear(order: list[int], rows: dict[int, dict[int, Fraction]],
     for s in order:
         row = rows.pop(s)
         b = rhs.pop(s)
-        diag = row.pop(s, Fraction(0))
+        diag = row.pop(s, 0)
         if diag == 1:
             raise SolverError("singular reachability system (probability-1 self loop)")
         if diag:
@@ -317,105 +358,5 @@ def _solve_linear(order: list[int], rows: dict[int, dict[int, Fraction]],
     values: dict[int, Fraction] = {}
     for s in reversed(order):
         row, b = solved[s]
-        values[s] = b + sum((c * values[t] for t, c in row.items()), Fraction(0))
+        values[s] = b + sum(c * values[t] for t, c in row.items())
     return values
-
-
-def _evaluate_policy(m: Mdp, policy: dict[int, str], unknown: list[int],
-                     ones: frozenset[int], pred_cache) -> dict[int, Fraction]:
-    """Exact hitting probabilities of the Markov chain induced by a policy."""
-    unknown_set = set(unknown)
-    # Which unknown states still reach a probability-one state under this policy?
-    chain_pred: dict[int, list[int]] = {}
-    touches_one: list[int] = []
-    for s in unknown:
-        dist = m.transitions[s][policy[s]]
-        hit = False
-        for t in dist.support:
-            if t in unknown_set:
-                chain_pred.setdefault(t, []).append(s)
-            elif t in ones:
-                hit = True
-        if hit:
-            touches_one.append(s)
-    alive: set[int] = set()
-    stack = list(touches_one)
-    while stack:
-        s = stack.pop()
-        if s in alive:
-            continue
-        alive.add(s)
-        for p in chain_pred.get(s, ()):
-            if p not in alive:
-                stack.append(p)
-    values = {s: Fraction(0) for s in unknown}
-    if not alive:
-        return values
-    rows: dict[int, dict[int, Fraction]] = {}
-    rhs: dict[int, Fraction] = {}
-    for s in alive:
-        dist = m.transitions[s][policy[s]]
-        row: dict[int, Fraction] = {}
-        b = Fraction(0)
-        for t, w in dist.items():
-            if t in alive:
-                row[t] = row.get(t, Fraction(0)) + w
-            elif t in ones:
-                b += w
-        rows[s] = row
-        rhs[s] = b
-    order = sorted(alive, reverse=True)
-    values.update(_solve_linear(order, rows, rhs))
-    return values
-
-
-def exact_reach(m: Mdp, target: str, direction: str, *,
-                cap: int = EXACT_STATE_CAP) -> Fraction:
-    """Exact rational min/max reachability via policy iteration.
-
-    Each round solves the linear hitting system of the current policy's chain
-    with exact Gaussian elimination, then switches a state's action only on a
-    strict improvement; termination at a fixpoint is guaranteed because the
-    qualitative sets have already removed every end component that could trap
-    value.
-    """
-    if direction not in ("min", "max"):
-        raise QueryError(f"direction must be 'min' or 'max', got {direction!r}")
-    if len(m.states) > cap:
-        raise ExactCapError(
-            f"model has {len(m.states)} states, above the exact-solver cap {cap}")
-    prob0, prob1 = qualitative_sets(m, target, direction)
-    unknown = [s for s in range(len(m.states)) if s not in prob0 and s not in prob1]
-    pinned: dict[int, Fraction] = {}
-    for s in prob0:
-        pinned[s] = Fraction(0)
-    for s in prob1:
-        pinned[s] = Fraction(1)
-    if not unknown:
-        return sum((w * pinned[s] for s, w in m.initial.items()), Fraction(0))
-
-    policy = {s: next(iter(m.transitions[s])) for s in unknown}
-    better = (lambda q, cur: q > cur) if direction == "max" else (lambda q, cur: q < cur)
-    for _ in range(10_000):
-        values = _evaluate_policy(m, policy, unknown, prob1, None)
-        full = dict(pinned)
-        full.update(values)
-        changed = False
-        for s in unknown:
-            current = None
-            chosen = policy[s]
-            for action, dist in m.transitions[s].items():
-                q = sum((w * full[t] for t, w in dist.items()), Fraction(0))
-                if action == chosen:
-                    current = q
-            for action, dist in m.transitions[s].items():
-                if action == chosen:
-                    continue
-                q = sum((w * full[t] for t, w in dist.items()), Fraction(0))
-                if better(q, current):
-                    policy[s] = action
-                    current = q
-                    changed = True
-        if not changed:
-            return sum((w * full[s] for s, w in m.initial.items()), Fraction(0))
-    raise SolverError("policy iteration failed to reach a fixpoint")

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from dispersal_mc import Distribution, Mdp, ModelParams
+from dispersal_mc.solver import qualitative_sets
 
 
 def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
@@ -40,6 +41,30 @@ def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
     init = Distribution({initial: Fraction(1)}) if isinstance(initial, int) \
         else Distribution({s: Fraction(w) for s, w in initial.items()})
     return Mdp(("s",), states, rows, init, labs, ap=ap)
+
+
+def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> float:
+    """Min/max reachability of the initial distribution by plain value iteration.
+
+    The numeric reference for the solver's SCC engine, sharing none of its
+    code: pin the global qualitative sets, then run Gauss-Seidel sweeps over
+    every other state, in reverse index order, until no value rises by
+    ``tol`` or more.
+    """
+    prob0, prob1 = qualitative_sets(m, target, direction)
+    v = [1.0 if s in prob1 else 0.0 for s in range(len(m.states))]
+    unknown = sorted(set(range(len(m.states))) - prob0 - prob1, reverse=True)
+    rows = {s: [dist.floats() for dist in m.transitions[s].values()] for s in unknown}
+    best = max if direction == "max" else min
+    for _ in range(100_000):
+        rise = 0.0
+        for s in unknown:
+            new = best(sum(w * v[t] for t, w in pairs) for pairs in rows[s])
+            rise = max(rise, new - v[s])
+            v[s] = new
+        if rise < tol:
+            return sum(float(w) * v[s] for s, w in m.initial.items())
+    raise AssertionError("value iteration did not converge")
 
 
 def explore_client_states(n, m, c, p):

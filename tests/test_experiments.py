@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dispersal_mc import ModelParams, build_composed, lt_linear_profile, uniform_probabilities
+from dispersal_mc import experiments
 from dispersal_mc.experiments import (CSV_HEADER, OracleCapError, SplitMix64,
                                       SweepSpec, attack_vector, emit_csv,
                                       enumerate_oracle, monte_carlo,
@@ -83,6 +84,32 @@ class TestMonteCarlo:
                              x=(F(1),), p=uniform_probabilities(2))
         est = monte_carlo(params, "provider", 200_000, seed=7)
         assert est.low <= 0.375 <= est.high
+
+    def test_zero_hits_keep_a_positive_upper_bound(self):
+        params = ModelParams(n=3, m=1, c=3, k1=3, k2=3, a=(F(1, 100),),
+                             x=(F(1),), p=(F(1),))
+        oracle = enumerate_oracle(params, "slice")
+        assert oracle == F(1, 10 ** 6)
+        est = monte_carlo(params, "slice", 1000, seed=3)
+        assert est.estimate == 0.0
+        assert est.high > 0
+        assert est.low <= oracle <= est.high
+
+    def test_round_off_routes_to_last_server_with_positive_share(self, monkeypatch):
+        # ten shares of 1/10 sum to 0.9999999999999999 in floats, which the
+        # stub's draw 1 - 2**-53 equals, so no cumulative share exceeds it
+        class EdgeRng:
+            def __init__(self, seed):
+                pass
+
+            def random(self):
+                return 1 - 2 ** -53
+
+        assert sum([0.1] * 10) == 1 - 2 ** -53
+        params = ModelParams(n=2, m=11, c=2, k1=1, k2=1, a=(F(0),) * 10 + (F(1),),
+                             x=(F(1), F(1)), p=(F(1, 10),) * 10 + (F(0),))
+        monkeypatch.setattr(experiments, "SplitMix64", EdgeRng)
+        assert monte_carlo(params, "provider", 10, seed=0).estimate == 0.0
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dispersal_mc import (Branch, CompositionError, Distribution, ExplorationError,
                           Mdp, ModelError, TemplateModule, TransitionTemplate,
                           VarDecl, compose, compose_templates, expand, validate)
+from dispersal_mc.mdp import sccs
 from helpers import make_mdp, random_mdp
 
 
@@ -236,3 +237,39 @@ class TestComposeTemplates:
         silent = TemplateModule("s", (VarDecl("y", 0, 0),), ())
         with pytest.raises(CompositionError, match="missing"):
             compose_templates(writer, silent, shared=("busy",))
+
+
+def _reachable(m, s):
+    seen, stack = {s}, [s]
+    while stack:
+        for dist in m.transitions[stack.pop()].values():
+            for t in dist.support:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return seen
+
+
+class TestSccs:
+    def test_components_come_sinks_first(self):
+        m = make_mdp({0: {"a": {1: 1}}, 1: {"a": {2: 1}},
+                      2: {"a": {1: Fraction(1, 2), 3: Fraction(1, 2)}}, 3: {}})
+        assert [sorted(c) for c in sccs(m)] == [[3], [1, 2], [0]]
+
+    def test_absorbing_states_cut_their_cycles(self):
+        m = make_mdp({0: {"a": {1: 1}}, 1: {"a": {0: 1}}})
+        assert [sorted(c) for c in sccs(m)] == [[0, 1]]
+        assert [sorted(c) for c in sccs(m, frozenset({1}))] == [[1], [0]]
+
+    def test_matches_mutual_reachability_on_random_models(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            m = random_mdp(rng, max_states=8)
+            reach = [_reachable(m, s) for s in range(m.state_count)]
+            order = list(sccs(m))
+            assert sorted(s for c in order for s in c) == list(range(m.state_count))
+            position = {s: i for i, c in enumerate(order) for s in c}
+            for s in range(m.state_count):
+                assert {t for t in reach[s] if s in reach[t]} == set(order[position[s]])
+                # every successor's component was yielded no later than s's own
+                assert all(position[t] <= position[s] for t in reach[s])

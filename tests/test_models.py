@@ -13,7 +13,7 @@ from dispersal_mc import (AbstractionPreconditionError, Channel, Distribution,
                           expand_channels, lt_linear_profile, round_half_up,
                           rs_profile, uniform_probabilities, validate)
 from dispersal_mc.models import HACKED, attacker_done_pc, hacked_labeler
-from dispersal_mc.solver import exact_reach, pmax_reach
+from dispersal_mc.solver import exact_reach, solve_reach
 from helpers import explore_client_states, random_params
 
 F = Fraction
@@ -198,7 +198,7 @@ class TestSliceAttacker:
     def test_no_interception_means_no_attack(self):
         params = simple_params(a=(F(0),))
         model = build_composed(params, "slice")
-        assert pmax_reach(model, HACKED) == 0.0
+        assert solve_reach(model, HACKED).pmax == 0.0
 
     def test_minimal_synchronized_interception(self):
         # certain interception of the single slice: the one busy transition

@@ -1,16 +1,18 @@
-"""Reachability solvers: qualitative sets, value iteration, exact engine."""
+"""Reachability: qualitative sets and the SCC engine in floats and in exact rationals."""
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from dispersal_mc import ModelParams, build_composed, uniform_probabilities
+from dispersal_mc.mdp import sccs
 from dispersal_mc.models import HACKED
 from dispersal_mc.solver import (ExactCapError, QueryError, check_pctl_interval,
-                                 exact_reach, pmax_reach, pmin_reach,
-                                 qualitative_sets, solve_reach)
-from helpers import make_mdp, random_params
+                                 exact_reach, qualitative_sets, solve_reach)
+from helpers import make_mdp, random_params, value_iteration
 
 F = Fraction
 
@@ -61,20 +63,22 @@ class TestQualitativeSets:
 class TestValueIteration:
     def test_self_loop_target(self):
         m = make_mdp({0: {"a": {0: 1}}}, labels={0: ("goal",)})
-        assert pmin_reach(m, "goal") == 1.0
-        assert pmax_reach(m, "goal") == 1.0
+        res = solve_reach(m, "goal")
+        assert res.pmin == 1.0
+        assert res.pmax == 1.0
 
     def test_scheduler_extremes(self):
         m = make_mdp({0: {"hit": {1: 1}, "miss": {2: 1}}, 1: {}, 2: {}},
                      labels={1: ("goal",)})
-        assert pmax_reach(m, "goal") == 1.0
-        assert pmin_reach(m, "goal") == 0.0
+        res = solve_reach(m, "goal")
+        assert res.pmax == 1.0
+        assert res.pmin == 0.0
 
     def test_anchor_instance(self):
         res = solve_reach(slice_anchor_model(), HACKED)
         assert res.pmin == pytest.approx(0.75, abs=1e-9)
         assert res.pmax == pytest.approx(0.75, abs=1e-9)
-        assert res.mode == "vi"
+        assert res.iterations == 0  # acyclic: no component needs a linear solve
 
     def test_bounds_hold_on_random_grid(self):
         rng = random.Random(17)
@@ -120,13 +124,55 @@ class TestExactEngine:
 
     def test_agrees_with_value_iteration_on_random_grid(self):
         rng = random.Random(23)
+        cyclic = 0
         for _ in range(12):
             params = random_params(rng, max_n=4, max_m=2)
-            for attacker in ("slice", "provider"):
-                model = build_composed(params, attacker)
+            tight = dataclasses.replace(params, c=-(-params.n // params.m))
+            for p, attacker in itertools.product({params, tight}, ("slice", "provider")):
+                model = build_composed(p, attacker)
+                cyclic += any(len(c) > 1 for c in sccs(model))
                 res = solve_reach(model, HACKED)
-                assert abs(res.pmin - float(exact_reach(model, HACKED, "min"))) <= 1e-9
-                assert abs(res.pmax - float(exact_reach(model, HACKED, "max"))) <= 1e-9
+                for direction, value in (("min", res.pmin), ("max", res.pmax)):
+                    exact = float(exact_reach(model, HACKED, direction))
+                    assert abs(value - exact) <= 1e-12
+                    assert abs(value - value_iteration(model, HACKED, direction)) <= 1e-9
+        assert cyclic >= 4  # tight capacity makes retry loops
+
+
+class TestEndComponents:
+    """Hand-made cyclic MDPs: both engines against values derived by hand."""
+
+    @staticmethod
+    def solved(m):
+        res = solve_reach(m, "goal")
+        exact = (exact_reach(m, "goal", "min"), exact_reach(m, "goal", "max"))
+        assert (res.pmin, res.pmax) == pytest.approx(exact, abs=1e-15)
+        return exact
+
+    def test_min_is_zero_when_a_scheduler_can_circle(self):
+        # 0 and 1 form an end component; only 0 can leave it, to a coin flip
+        m = make_mdp({0: {"go": {2: F(1, 2), 3: F(1, 2)}, "loop": {1: 1}},
+                      1: {"back": {0: 1}}, 2: {}, 3: {}},
+                     labels={2: ("goal",)})
+        assert self.solved(m) == (0, F(1, 2))
+
+    def test_max_takes_the_better_exit(self):
+        m = make_mdp({0: {"exit": {2: F(1, 4), 3: F(3, 4)}, "right": {1: 1}},
+                      1: {"exit": {2: F(3, 4), 3: F(1, 4)}, "left": {0: 1}},
+                      2: {}, 3: {}},
+                     labels={2: ("goal",)})
+        assert self.solved(m) == (0, F(3, 4))
+
+    def test_self_loop_singleton(self):
+        # "retry" comes back half the time, so it is worth 1/4 / (1 - 1/2)
+        m = make_mdp({0: {"retry": {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)},
+                          "once": {1: F(1, 3), 2: F(2, 3)}},
+                      1: {}, 2: {}},
+                     labels={1: ("goal",)})
+        assert self.solved(m) == (F(1, 3), F(1, 2))
+        with_stay = make_mdp({0: {"retry": {0: F(1, 2), 1: F(1, 2)}, "stay": {0: 1}},
+                              1: {}}, labels={1: ("goal",)})
+        assert self.solved(with_stay) == (0, 1)
 
 
 class TestIntervalCheck:
