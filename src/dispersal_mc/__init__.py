@@ -7,19 +7,19 @@ and PRISM-language export.
 
 from .mdp import (Branch, CompositionError, Distribution, ExplorationError, Mdp,
                   ModelError, TemplateModule, TransitionTemplate, VarDecl,
-                  compose, compose_templates, expand, validate)
+                  compose_templates, expand, validate)
 from .models import (HACKED, AbstractionPreconditionError, Channel, ModelParams,
-                     ParameterError, build_client, build_client_prime,
-                     build_composed, build_provider_attacker,
+                     ParameterError, build_client, build_composed,
+                     build_provider_attacker,
                      build_slice_attacker, expand_channels, lt_linear_profile,
                      round_half_up, rs_profile, uniform_probabilities)
 
 __all__ = [
     "Branch", "CompositionError", "Distribution", "ExplorationError", "Mdp",
     "ModelError", "TemplateModule", "TransitionTemplate", "VarDecl",
-    "compose", "compose_templates", "expand", "validate",
+    "compose_templates", "expand", "validate",
     "HACKED", "AbstractionPreconditionError", "Channel", "ModelParams",
-    "ParameterError", "build_client", "build_client_prime", "build_composed",
+    "ParameterError", "build_client", "build_composed",
     "build_provider_attacker", "build_slice_attacker", "expand_channels",
     "lt_linear_profile", "round_half_up", "rs_profile", "uniform_probabilities",
 ]

@@ -10,17 +10,16 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from .bisim import bisimilar, verify_capacity_abstraction, verify_channel_cutoff
-from .configio import (ConfigError, load_json, load_model_params,
-                       load_sweep_spec, parse_channels)
+from .configio import (ConfigError, channel_cutoff_from_dict, load_json,
+                       load_model_params, load_sweep_spec)
 from .experiments import OracleCapError, emit_csv, enumerate_oracle, sweep
 from .models import AbstractionPreconditionError, Channel, ParameterError, build_composed
 from .mdp import Distribution, ModelError
 from .prism import export_prism
 from .rationals import format_float, format_rational
-from .solver import ExactCapError, QueryError, SolverError, exact_reach, solve_reach
+from .solver import QueryError, SolverError, exact_reach, solve_reach
 
 
 def _emit(payload: dict, fmt: str, stream) -> None:
@@ -78,18 +77,9 @@ def _cmd_bisim(args, out) -> int:
 
 
 def _cmd_verify_thm2(args, out) -> int:
-    doc = load_json(args.config)
-    if "channels" not in doc:
-        raise ConfigError("missing required field(s): channels")
-    f, big = parse_channels(doc)
+    f, big, fields = channel_cutoff_from_dict(load_json(args.config))
     small = [Channel(1, Distribution.uniform(1), ch.a) for ch in big]
-    if "n" not in doc or "k1" not in doc or "k2" not in doc:
-        raise ConfigError("missing required field(s): n, k1, k2")
-    report = verify_channel_cutoff(
-        f, small, big,
-        n=doc["n"], k1=doc["k1"], k2=doc["k2"],
-        x=None if "x" not in doc else [Fraction(str(v)) for v in doc["x"]],
-        c=doc.get("c"))
+    report = verify_channel_cutoff(f, small, big, **fields)
     _emit_report(report, args.format, out)
     return 0 if report.equivalent else 1
 
@@ -213,7 +203,7 @@ def main(argv=None, out=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (AbstractionPreconditionError, ParameterError, ModelError, QueryError,
-            SolverError, ExactCapError, OracleCapError) as exc:
+            SolverError, OracleCapError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 1
 

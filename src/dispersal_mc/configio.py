@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Any
 
 from .mdp import Distribution
-from .models import (Channel, ModelParams, ParameterError, lt_linear_profile,
-                     rs_profile, uniform_probabilities)
+from .models import (Channel, ModelParams, ParameterError, expand_channels,
+                     lt_linear_profile, rs_profile, uniform_probabilities)
 from .experiments import SweepSpec
 from .rationals import parse_probability
 
@@ -86,11 +86,30 @@ def parse_channels(doc: dict) -> tuple[Distribution, list[Channel]]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"field 'channels'[{pos}]: {exc}") from exc
     if "f" in doc:
-        masses = {i: parse_probability(v) for i, v in enumerate(doc["f"], start=1)}
-        f = Distribution(masses)
+        f = Distribution(enumerate(_probability_list(doc, "f"), start=1))
     else:
         f = Distribution.uniform(len(channels))
     return f, channels
+
+
+def _channel_vectors(doc: dict) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Per-server routing and attack vectors ``(p, a)`` of the ``channels`` list."""
+    f, channels = parse_channels(doc)
+    try:
+        return expand_channels(f, channels)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def channel_cutoff_from_dict(doc: dict) -> tuple[Distribution, list[Channel], dict]:
+    """The channel-choice distribution, the channels, and the keyword fields
+    (n, k1, k2 and the optional x and c) of a channel-grouping instance."""
+    _require(doc, "channels", "n", "k1", "k2")
+    f, channels = parse_channels(doc)
+    fields = {key: _int(doc, key) for key in ("n", "k1", "k2")}
+    fields["x"] = _probability_list(doc, "x") if "x" in doc else None
+    fields["c"] = _int(doc, "c") if "c" in doc else None
+    return f, channels, fields
 
 
 def _thresholds(doc: dict, n: int) -> tuple[int, int, tuple[Fraction, ...]]:
@@ -121,12 +140,7 @@ def model_params_from_dict(doc: dict) -> ModelParams:
     n = _int(doc, "n")
     k1, k2, x = _thresholds(doc, n)
     if "channels" in doc:
-        from .models import expand_channels
-        f, channels = parse_channels(doc)
-        try:
-            p, a = expand_channels(f, channels)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        p, a = _channel_vectors(doc)
         m = len(p)
         if "m" in doc and _int(doc, "m") != m:
             raise ConfigError(f"field 'm': {doc['m']} conflicts with {m} channel servers")
@@ -148,6 +162,9 @@ def load_model_params(path) -> ModelParams:
 
 def sweep_spec_from_dict(doc: dict) -> SweepSpec:
     _require(doc, "attacker", "n_from", "n_to")
+    timing = doc.get("timing", False)
+    if not isinstance(timing, bool):
+        raise ConfigError(f"field 'timing': expected true or false, got {timing!r}")
     kwargs: dict[str, Any] = {
         "attacker": doc["attacker"],
         "profile": doc.get("profile", "lt-linear"),
@@ -155,28 +172,20 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
         "n_to": _int(doc, "n_to"),
         "n_step": _int(doc, "n_step") if "n_step" in doc else 10,
         "solver": doc.get("solver", "vi"),
-        "timing": bool(doc.get("timing", False)),
+        "timing": timing,
     }
     if "channels" in doc:
-        from .models import expand_channels
-        f, channels = parse_channels(doc)
-        try:
-            p, a = expand_channels(f, channels)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-        kwargs["m"] = len(p)
-        kwargs["a"] = a
-        kwargs["p"] = p
+        p, a = _channel_vectors(doc)
+        kwargs.update(m=len(p), a=a, p=p)
     else:
         _require(doc, "m")
         kwargs["m"] = _int(doc, "m")
         if "a" in doc:
             kwargs["a"] = _probability_list(doc, "a")
         elif "a_interval" in doc:
-            raw = doc["a_interval"]
-            if not isinstance(raw, list) or len(raw) != 2:
+            kwargs["a_interval"] = _probability_list(doc, "a_interval")
+            if len(kwargs["a_interval"]) != 2:
                 raise ConfigError("field 'a_interval': expected [low, high]")
-            kwargs["a_interval"] = (parse_probability(raw[0]), parse_probability(raw[1]))
         else:
             raise ConfigError("missing required field(s): a or a_interval")
         if "p" in doc:

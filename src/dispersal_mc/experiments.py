@@ -9,9 +9,7 @@ estimator extends the cross-check beyond the exact caps.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -22,7 +20,6 @@ from .models import (ModelParams, ParameterError, build_composed,
 from .rationals import format_float
 from .solver import exact_reach, solve_reach
 
-THREADS_ENV = "DISPERSAL_MC_THREADS"
 CSV_HEADER = "n,pmin,pmax,states,transitions,wall_ms,iterations"
 
 
@@ -154,21 +151,12 @@ def _solve_point(spec: SweepSpec, n: int) -> SweepRow:
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Solve every point of the spec; rows come back ordered by n.
+    """Solve every point of the spec, in increasing n.
 
-    Points are independent; parallelism is capped by the DISPERSAL_MC_THREADS
-    environment variable (default 1). Per-point failures are recorded in the
-    row's ``error`` field and the sweep continues.
+    Per-point failures are recorded in the row's ``error`` field and the
+    sweep continues.
     """
-    points = spec.points()
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers <= 1 or len(points) <= 1:
-        rows = [_solve_point(spec, n) for n in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda n: _solve_point(spec, n), points))
-    rows.sort(key=lambda r: r.n)
-    return rows
+    return [_solve_point(spec, n) for n in spec.points()]
 
 
 def emit_csv(rows: Iterable[SweepRow], path) -> None:

@@ -2,7 +2,8 @@
 
 States are valuations of bounded integer variables. Models are built either
 directly (for tests and small examples) or by expanding symbolic transition
-templates, and can be combined by synchronous parallel composition.
+templates. Parallel composition acts on templates, before expansion
+(``compose_templates``).
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ class ExplorationError(ModelError):
     """State-space exploration left a declared variable range."""
 
 
-class Distribution(Mapping):
+class Distribution:
     """Finitely supported probability mass over integer-indexed outcomes.
 
     Masses are exact rationals and zero entries are dropped. The total is not
     forced to 1 at construction so that diagnostics can inspect broken
-    distributions; use :meth:`is_probability` where it matters.
+    distributions; use :meth:`is_probability` where it matters. Masses are
+    read through :meth:`items`, sorted by outcome.
     """
 
     __slots__ = ("_items",)
@@ -79,21 +81,6 @@ class Distribution(Mapping):
     def remap(self, fn: Callable[[int], int]) -> "Distribution":
         """Push the distribution through an outcome mapping, merging masses."""
         return Distribution((fn(k), m) for k, m in self._items)
-
-    def __getitem__(self, key) -> Fraction:
-        for k, m in self._items:
-            if k == key:
-                return m
-        raise KeyError(key)
-
-    def __iter__(self):
-        return (k for k, _ in self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, key) -> bool:
-        return any(k == key for k, _ in self._items)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Distribution):
@@ -226,7 +213,7 @@ class Mdp:
     @property
     def transition_count(self) -> int:
         """Number of probabilistic edges (support entries over all choices)."""
-        return sum(len(d) for row in self.transitions for d in row.values())
+        return sum(len(d.items()) for row in self.transitions for d in row.values())
 
     def valuation(self, i: int) -> dict[str, int]:
         return dict(zip(self.variables, self.states[i]))
@@ -455,75 +442,3 @@ def _product_template(tl: TransitionTemplate, tr: TransitionTemplate) -> Transit
     guard_text = " & ".join(t for t in (tl.guard_text, tr.guard_text) if t)
     return TransitionTemplate(tl.action, guard, tuple(branches), guard_text=guard_text)
 
-
-def compose(m1: Mdp, m2: Mdp, shared: Iterable[str] = ()) -> Mdp:
-    """Synchronous product of two explicit MDPs with disjoint variables.
-
-    Shared actions fire only when enabled on both sides (the product of the
-    two distributions); a shared action enabled on one side only is blocked.
-    All other actions interleave, leaving the other component untouched.
-    Only the fragment reachable from the product initial distribution is
-    built.
-    """
-    shared = frozenset(shared)
-    overlap = set(m1.variables) & set(m2.variables)
-    if overlap:
-        raise CompositionError(f"write-write conflict on variables: {sorted(overlap)}")
-    a1, a2 = set(m1.actions), set(m2.actions)
-    if not shared <= a1 & a2 and shared:
-        missing = sorted(shared - (a1 & a2))
-        raise CompositionError(f"shared actions {missing} missing from one alphabet")
-    clash = (a1 & a2) - shared
-    if clash:
-        raise CompositionError(f"non-shared action names appear on both sides: {sorted(clash)}")
-
-    states: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-    queue: deque[int] = deque()
-
-    def discover(pair: tuple[int, int]) -> int:
-        j = index.get(pair)
-        if j is None:
-            j = len(states)
-            index[pair] = j
-            states.append(pair)
-            queue.append(j)
-        return j
-
-    init_masses: dict[int, Fraction] = {}
-    for s1, w1 in m1.initial.items():
-        for s2, w2 in m2.initial.items():
-            init_masses[discover((s1, s2))] = w1 * w2
-    initial = Distribution(init_masses)
-
-    transitions: list[dict[str, Distribution]] = []
-    while queue:
-        i = queue.popleft()
-        s1, s2 = states[i]
-        row: dict[str, Distribution] = {}
-        row1, row2 = m1.transitions[s1], m2.transitions[s2]
-        for action, dist in row1.items():
-            if action in shared:
-                other = row2.get(action)
-                if other is None:
-                    continue
-                masses: dict[int, Fraction] = {}
-                for t1, w1 in dist.items():
-                    for t2, w2 in other.items():
-                        j = discover((t1, t2))
-                        masses[j] = masses.get(j, Fraction(0)) + w1 * w2
-                row[action] = Distribution(masses)
-            else:
-                row[action] = Distribution(
-                    {discover((t1, s2)): w for t1, w in dist.items()})
-        for action, dist in row2.items():
-            if action in shared:
-                continue
-            row[action] = Distribution(
-                {discover((s1, t2)): w for t2, w in dist.items()})
-        transitions.append(row)
-
-    variables = m1.variables + m2.variables
-    out_states = [m1.states[s1] + m2.states[s2] for s1, s2 in states]
-    labels = [m1.labels[s1] | m2.labels[s2] for s1, s2 in states]
-    return Mdp(variables, out_states, transitions, initial, labels, ap=m1.ap | m2.ap)

@@ -143,10 +143,10 @@ def expand_channels(f: Distribution, channels: Sequence[Channel]) -> tuple[tuple
         raise ParameterError("channel-choice distribution must index channels 1..k")
     p: list[Fraction] = []
     a: list[Fraction] = []
-    for i, ch in enumerate(channels, start=1):
-        fi = f[i]
+    for (_, fi), ch in zip(f.items(), channels):
+        g = dict(ch.g.items())
         for j in range(1, ch.size + 1):
-            p.append(fi * (ch.g[j] if j in ch.g else Fraction(0)))
+            p.append(fi * g.get(j, Fraction(0)))
             a.append(ch.a)
     return tuple(p), tuple(a)
 
@@ -201,21 +201,30 @@ def attacker_done_pc(params: ModelParams, attacker: str) -> int:
     raise ParameterError(f"unknown attacker kind {attacker!r}")
 
 
-def build_client(params: ModelParams) -> TemplateModule:
+def build_client(params: ModelParams, *, reduced: bool = False) -> TemplateModule:
     """The slice-dispersing client, tracking per-server occupancy.
 
     From the pick state it selects a recipient with the routing distribution;
     a full recipient sends it back to pick again, otherwise the slice goes out
     under the synchronizing ``busy`` action. Once all n slices are sent it
     moves to its terminal counter value.
+
+    With ``reduced=True`` the per-server occupancy counters and capacity
+    checks are dropped. That is only sound when every server can host the
+    whole message (c >= n); other inputs are refused rather than silently
+    miscounted.
     """
     n, m, c = params.n, params.m, params.c
+    if reduced and c < n:
+        raise AbstractionPreconditionError(
+            f"capacity abstraction needs c >= n, got c={c} n={n}")
     decls = [
         VarDecl("pc_c", 0, CLIENT_DONE),
         VarDecl("s_c", 0, m),
         VarDecl("ctr_c", 0, n),
     ]
-    decls.extend(VarDecl(f"ctr_c_{i}", 0, c) for i in range(1, m + 1))
+    if not reduced:
+        decls.extend(VarDecl(f"ctr_c_{i}", 0, c) for i in range(1, m + 1))
 
     templates: list[TransitionTemplate] = []
     pick_branches = tuple(
@@ -230,26 +239,39 @@ def build_client(params: ModelParams) -> TemplateModule:
         pick_branches,
         guard_text=f"pc_c=0 & ctr_c<{n}",
     ))
-    for i in range(1, m + 1):
+    if reduced:
         templates.append(TransitionTemplate(
             "busy",
-            lambda v, i=i: v["pc_c"] == CLIENT_SEND and v["s_c"] == i and v[f"ctr_c_{i}"] < c,
+            lambda v: v["pc_c"] == CLIENT_SEND,
             (Branch(Fraction(1),
-                    lambda v, i=i: {"pc_c": CLIENT_PICK, "s_c": 0,
-                                    "ctr_c": v["ctr_c"] + 1,
-                                    f"ctr_c_{i}": v[f"ctr_c_{i}"] + 1},
-                    update_text=(f"(pc_c'=0) & (s_c'=0) & (ctr_c'=ctr_c+1)"
-                                 f" & (ctr_c_{i}'=ctr_c_{i}+1)")),),
-            guard_text=f"pc_c=1 & s_c={i} & ctr_c_{i}<{c}",
+                    lambda v: {"pc_c": CLIENT_PICK, "s_c": 0, "ctr_c": v["ctr_c"] + 1},
+                    update_text="(pc_c'=0) & (s_c'=0) & (ctr_c'=ctr_c+1)"),),
+            guard_text="pc_c=1",
         ))
-        templates.append(TransitionTemplate(
-            "retry",
-            lambda v, i=i: v["pc_c"] == CLIENT_SEND and v["s_c"] == i and v[f"ctr_c_{i}"] >= c,
-            (Branch(Fraction(1),
-                    lambda v: {"pc_c": CLIENT_PICK, "s_c": 0},
-                    update_text="(pc_c'=0) & (s_c'=0)"),),
-            guard_text=f"pc_c=1 & s_c={i} & ctr_c_{i}>={c}",
-        ))
+    else:
+        for i in range(1, m + 1):
+            occ = f"ctr_c_{i}"
+            templates.append(TransitionTemplate(
+                "busy",
+                lambda v, i=i, occ=occ: (v["pc_c"] == CLIENT_SEND and v["s_c"] == i
+                                         and v[occ] < c),
+                (Branch(Fraction(1),
+                        lambda v, occ=occ: {"pc_c": CLIENT_PICK, "s_c": 0,
+                                            "ctr_c": v["ctr_c"] + 1,
+                                            occ: v[occ] + 1},
+                        update_text=(f"(pc_c'=0) & (s_c'=0) & (ctr_c'=ctr_c+1)"
+                                     f" & ({occ}'={occ}+1)")),),
+                guard_text=f"pc_c=1 & s_c={i} & {occ}<{c}",
+            ))
+            templates.append(TransitionTemplate(
+                "retry",
+                lambda v, i=i, occ=occ: (v["pc_c"] == CLIENT_SEND and v["s_c"] == i
+                                         and v[occ] >= c),
+                (Branch(Fraction(1),
+                        lambda v: {"pc_c": CLIENT_PICK, "s_c": 0},
+                        update_text="(pc_c'=0) & (s_c'=0)"),),
+                guard_text=f"pc_c=1 & s_c={i} & {occ}>={c}",
+            ))
     templates.append(TransitionTemplate(
         "finish",
         lambda v: v["pc_c"] == CLIENT_PICK and v["ctr_c"] == n,
@@ -258,54 +280,6 @@ def build_client(params: ModelParams) -> TemplateModule:
                 update_text=f"(pc_c'={CLIENT_DONE})"),),
         guard_text=f"pc_c=0 & ctr_c={n}",
     ))
-    return TemplateModule("client", tuple(decls), tuple(templates))
-
-
-def build_client_prime(params: ModelParams) -> TemplateModule:
-    """The client without per-server occupancy counters or capacity checks.
-
-    Only sound when every server can host the whole message (c >= n); other
-    inputs are refused rather than silently miscounted.
-    """
-    if params.c < params.n:
-        raise AbstractionPreconditionError(
-            f"capacity abstraction needs c >= n, got c={params.c} n={params.n}")
-    n, m = params.n, params.m
-    decls = [
-        VarDecl("pc_c", 0, CLIENT_DONE),
-        VarDecl("s_c", 0, m),
-        VarDecl("ctr_c", 0, n),
-    ]
-    pick_branches = tuple(
-        Branch(params.p[i - 1],
-               lambda v, i=i: {"pc_c": CLIENT_SEND, "s_c": i},
-               update_text=f"(pc_c'=1) & (s_c'={i})")
-        for i in range(1, m + 1) if params.p[i - 1] > 0
-    )
-    templates = [
-        TransitionTemplate(
-            "pick",
-            lambda v: v["pc_c"] == CLIENT_PICK and v["ctr_c"] < n,
-            pick_branches,
-            guard_text=f"pc_c=0 & ctr_c<{n}",
-        ),
-        TransitionTemplate(
-            "busy",
-            lambda v: v["pc_c"] == CLIENT_SEND,
-            (Branch(Fraction(1),
-                    lambda v: {"pc_c": CLIENT_PICK, "s_c": 0, "ctr_c": v["ctr_c"] + 1},
-                    update_text="(pc_c'=0) & (s_c'=0) & (ctr_c'=ctr_c+1)"),),
-            guard_text="pc_c=1",
-        ),
-        TransitionTemplate(
-            "finish",
-            lambda v: v["pc_c"] == CLIENT_PICK and v["ctr_c"] == n,
-            (Branch(Fraction(1),
-                    lambda v: {"pc_c": CLIENT_DONE},
-                    update_text=f"(pc_c'={CLIENT_DONE})"),),
-            guard_text=f"pc_c=0 & ctr_c={n}",
-        ),
-    ]
     return TemplateModule("client", tuple(decls), tuple(templates))
 
 
@@ -438,10 +412,10 @@ def build_provider_attacker(params: ModelParams) -> TemplateModule:
 def build_composed(params: ModelParams, attacker: str, *, reduced: bool = False) -> Mdp:
     """Expand the client composed with one intruder, synchronized on ``busy``.
 
-    With ``reduced=True`` the capacity-free client replaces the full one
+    With ``reduced=True`` the client drops its per-server occupancy counters
     (requires c >= n).
     """
-    client = build_client_prime(params) if reduced else build_client(params)
+    client = build_client(params, reduced=reduced)
     if attacker == "slice":
         intruder = build_slice_attacker(params)
     elif attacker == "provider":

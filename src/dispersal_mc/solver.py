@@ -23,13 +23,6 @@ class SolverError(RuntimeError):
     """Numeric solve failed."""
 
 
-class ExactCapError(RuntimeError):
-    """The model exceeds the configured size cap of the exact solver."""
-
-
-EXACT_STATE_CAP = 20_000
-
-
 @dataclass
 class ReachResult:
     """Solved reachability query: both directions plus the solver's effort.
@@ -179,30 +172,10 @@ def solve_reach(m: Mdp, target: str) -> ReachResult:
                        pmax=float(_at_initial(m, vmax)), iterations=rounds)
 
 
-def check_pctl_interval(m: Mdp, a, b, target: str, *, exact: bool = False) -> bool:
-    """Does the probability of eventually hitting the target lie in [a, b]
-    under every scheduler?
-
-    Holds iff a <= pmin and pmax <= b.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not 0 <= a <= b <= 1:
-        raise QueryError(f"need 0 <= a <= b <= 1, got [{a}, {b}]")
-    if exact:
-        return (a <= exact_reach(m, target, "min")
-                and exact_reach(m, target, "max") <= b)
-    res = solve_reach(m, target)
-    return float(a) <= res.pmin and res.pmax <= float(b)
-
-
-def exact_reach(m: Mdp, target: str, direction: str, *,
-                cap: int = EXACT_STATE_CAP) -> Fraction:
+def exact_reach(m: Mdp, target: str, direction: str) -> Fraction:
     """Exact rational min or max probability of eventually hitting the target."""
     if direction not in ("min", "max"):
         raise QueryError(f"direction must be 'min' or 'max', got {direction!r}")
-    if len(m.states) > cap:
-        raise ExactCapError(
-            f"model has {len(m.states)} states, above the exact-solver cap {cap}")
     (values,), _ = _reach_values(m, target, (max if direction == "max" else min,),
                                  exact=True)
     return _at_initial(m, values)

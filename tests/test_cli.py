@@ -65,6 +65,16 @@ class TestConfigParsing:
         assert params.k1 == params.k2 == 7
         assert params.c == 10
 
+    @pytest.mark.parametrize("field, value", [
+        ("timing", "false"), ("a_interval", ["x", "1/4"]), ("a_interval", ["0"]),
+    ], ids=["timing", "a_interval-entry", "a_interval-length"])
+    def test_sweep_spec_rejects_malformed_field(self, tmp_path, field, value):
+        doc = {"attacker": "slice", "profile": "lt-linear", "n_from": 5,
+               "n_to": 5, "m": 2, "a_interval": ["0", "0.25"]}
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            load_sweep_spec(write_json(tmp_path, "s.json", doc))
+
     def test_sweep_spec_interval(self, tmp_path):
         doc = {"attacker": "provider", "profile": "lt-linear",
                "n_from": 10, "n_to": 20, "n_step": 10, "m": 5,
@@ -123,6 +133,19 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["equivalent"] is True
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "6"), ("k1", 2.5), ("k2", True), ("c", 6.5), ("x", ["a"]),
+        ("f", ["a", "1/2"]),
+    ], ids=["n", "k1", "k2", "c", "x", "f"])
+    def test_verify_thm2_rejects_malformed_field(self, tmp_path, capsys, field, value):
+        doc = {"n": 3, "k1": 2, "k2": 3,
+               "channels": [{"size": 2, "a": "0.1"}, {"size": 1, "a": "0.3"}]}
+        doc[field] = value
+        cfg = write_json(tmp_path, "cutoff.json", doc)
+        code, _ = run(["verify-thm2", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
 
     def test_bisim_verdict(self, tmp_path):
         cfg_a = write_json(tmp_path, "a.json", SLICE_ANCHOR)

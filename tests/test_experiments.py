@@ -172,17 +172,6 @@ class TestSweep:
         params = params_for(spec_rs, 10)
         assert (params.k1, params.k2) == (7, 7)
 
-    def test_thread_cap_keeps_rows_ordered(self, monkeypatch):
-        spec = SweepSpec(attacker="slice", profile="lt-linear",
-                         n_from=5, n_to=20, n_step=5, m=2,
-                         a=(F(1, 10), F(1, 5)))
-        serial = sweep(spec)
-        monkeypatch.setenv("DISPERSAL_MC_THREADS", "4")
-        parallel = sweep(spec)
-        assert [r.n for r in parallel] == [5, 10, 15, 20]
-        assert [(r.pmin, r.pmax) for r in parallel] == \
-            [(r.pmin, r.pmax) for r in serial]
-
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):

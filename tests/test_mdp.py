@@ -1,4 +1,4 @@
-"""Core MDP machinery: distributions, validation, expansion, composition."""
+"""Core MDP machinery: distributions, validation, expansion, template composition."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dispersal_mc import (Branch, CompositionError, Distribution, ExplorationError,
-                          Mdp, ModelError, TemplateModule, TransitionTemplate,
-                          VarDecl, compose, compose_templates, expand, validate)
+                          ModelError, TemplateModule, TransitionTemplate,
+                          VarDecl, compose_templates, expand, validate)
 from dispersal_mc.mdp import sccs
 from helpers import make_mdp, random_mdp
 
@@ -22,7 +22,7 @@ class TestDistribution:
 
     def test_uniform_is_exact(self):
         d = Distribution.uniform(7)
-        assert all(d[i] == Fraction(1, 7) for i in range(1, 8))
+        assert d.items() == tuple((i, Fraction(1, 7)) for i in range(1, 8))
         assert d.total() == 1
 
     def test_negative_mass_rejected(self):
@@ -141,79 +141,6 @@ def coin_module(name, var, p, action="flip"):
     )
 
 
-class TestCompose:
-    def test_unit_of_interleaving(self):
-        m = expand(counter_module(2))
-        unit = Mdp(("z",), [(5,)], [{}], Distribution.point(0), [frozenset()])
-        prod = compose(m, unit, shared=())
-        assert prod.state_count == m.state_count
-        assert prod.transition_count == m.transition_count
-        assert prod.variables == ("x", "z")
-        assert all(s[-1] == 5 for s in prod.states)
-
-    def test_shared_coin_product_measure(self):
-        p, q = Fraction(1, 3), Fraction(1, 5)
-        left = expand(coin_module("l", "x", p, action="busy"))
-        right = expand(coin_module("r", "y", q, action="busy"))
-        prod = compose(left, right, shared=("busy",))
-        dist = prod.transitions[prod.index_of((0, 0))]["busy"]
-        masses = {prod.states[t]: w for t, w in dist.items()}
-        assert masses == {
-            (1, 1): p * q,
-            (1, 0): p * (1 - q),
-            (0, 1): (1 - p) * q,
-            (0, 0): (1 - p) * (1 - q),
-        }
-
-    def test_blocked_shared_action(self):
-        # right side never enables busy again after flipping; left is blocked there
-        left = expand(coin_module("l", "x", Fraction(1, 2), action="busy"))
-        right = expand(coin_module("r", "y", Fraction(1), action="busy"))
-        prod = compose(left, right, shared=("busy",))
-        flipped = prod.index_of((0, 1))
-        assert prod.transitions[flipped] == {}
-
-    def test_variable_clash_rejected(self):
-        m = expand(counter_module(1))
-        with pytest.raises(CompositionError, match="write-write"):
-            compose(m, m, shared=())
-
-    def test_nonshared_name_clash_rejected(self):
-        left = expand(coin_module("l", "x", Fraction(1, 2)))
-        right = expand(coin_module("r", "y", Fraction(1, 2)))
-        with pytest.raises(CompositionError, match="both sides"):
-            compose(left, right, shared=())
-
-    def test_interleaving_bound_and_fully_connected_equality(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            m1 = random_mdp(rng, max_states=4)
-            m2 = random_mdp(rng, max_states=3)
-            # rename to keep variables/actions disjoint
-            m2 = Mdp(("t",), m2.states,
-                     [{a + "2": d for a, d in row.items()} for row in m2.transitions],
-                     m2.initial, m2.labels, ap=m2.ap)
-            prod = compose(m1, m2, shared=())
-            assert prod.state_count <= m1.state_count * m2.state_count
-        # fully connected: uniform moves everywhere on both sides
-        full1 = make_mdp({s: {"a": {t: Fraction(1, 3) for t in range(3)}} for s in range(3)})
-        full2 = make_mdp({s: {"b": {t: Fraction(1, 2) for t in range(2)}} for s in range(2)})
-        full2 = Mdp(("t",), full2.states, full2.transitions, full2.initial, full2.labels)
-        prod = compose(full1, full2, shared=())
-        assert prod.state_count == 6
-
-    def test_compose_preserves_validity(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            m1 = random_mdp(rng, max_states=4)
-            m2 = random_mdp(rng, max_states=3)
-            m2 = Mdp(("t",), m2.states,
-                     [{a + "2": d for a, d in row.items()} for row in m2.transitions],
-                     m2.initial, m2.labels, ap=m2.ap)
-            assert validate(m1) == [] and validate(m2) == []
-            assert validate(compose(m1, m2, shared=())) == []
-
-
 class TestComposeTemplates:
     def test_cross_read_synchronization(self):
         # writer sets w once under busy; reader's busy is guarded on w
@@ -237,6 +164,30 @@ class TestComposeTemplates:
         silent = TemplateModule("s", (VarDecl("y", 0, 0),), ())
         with pytest.raises(CompositionError, match="missing"):
             compose_templates(writer, silent, shared=("busy",))
+
+    def test_shared_coin_product_measure(self):
+        p, q = Fraction(1, 3), Fraction(1, 5)
+        prod = expand(compose_templates(coin_module("l", "x", p, action="busy"),
+                                        coin_module("r", "y", q, action="busy"),
+                                        shared=("busy",)))
+        dist = prod.transitions[prod.index_of((0, 0))]["busy"]
+        masses = {prod.states[t]: w for t, w in dist.items()}
+        assert masses == {
+            (1, 1): p * q,
+            (1, 0): p * (1 - q),
+            (0, 1): (1 - p) * q,
+            (0, 0): (1 - p) * (1 - q),
+        }
+
+    def test_variable_clash_rejected(self):
+        with pytest.raises(CompositionError, match="write-write"):
+            compose_templates(counter_module(1), counter_module(1), shared=())
+
+    def test_nonshared_name_clash_rejected(self):
+        left = coin_module("l", "x", Fraction(1, 2))
+        right = coin_module("r", "y", Fraction(1, 2))
+        with pytest.raises(CompositionError, match="both sides"):
+            compose_templates(left, right, shared=())
 
 
 def _reachable(m, s):

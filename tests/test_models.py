@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dispersal_mc import (AbstractionPreconditionError, Channel, Distribution,
                           ModelParams, ParameterError, build_client,
-                          build_client_prime, build_composed, expand,
+                          build_composed, expand,
                           expand_channels, lt_linear_profile, round_half_up,
                           rs_profile, uniform_probabilities, validate)
 from dispersal_mc.models import HACKED, attacker_done_pc, hacked_labeler
@@ -23,6 +23,12 @@ def simple_params(**overrides):
     base = dict(n=2, m=1, c=2, k1=1, k2=1, a=(F(1, 2),), x=(F(1), F(1)), p=(F(1),))
     base.update(overrides)
     return ModelParams(**base)
+
+
+def test_every_package_export_resolves():
+    import dispersal_mc
+    missing = [name for name in dispersal_mc.__all__ if not hasattr(dispersal_mc, name)]
+    assert missing == []
 
 
 class TestModelParams:
@@ -177,21 +183,21 @@ class TestClientPrime:
     def test_no_occupancy_variables(self):
         params = simple_params(n=3, m=2, c=3, a=(F(1, 2), F(1, 2)),
                                x=(F(1),) * 3, p=uniform_probabilities(2))
-        mod = build_client_prime(params)
+        mod = build_client(params, reduced=True)
         assert all(not v.name.startswith("ctr_c_") for v in mod.variables)
 
     def test_strictly_smaller_reachable_set(self):
         params = simple_params(n=3, m=2, c=3, a=(F(1, 2), F(1, 2)),
                                x=(F(1),) * 3, p=uniform_probabilities(2))
         full = expand(build_client(params))
-        reduced = expand(build_client_prime(params))
+        reduced = expand(build_client(params, reduced=True))
         assert reduced.state_count < full.state_count
 
     def test_capacity_precondition(self):
         params = simple_params(n=3, m=2, c=2, a=(F(1, 2), F(1, 2)),
                                x=(F(1),) * 3, p=uniform_probabilities(2))
         with pytest.raises(AbstractionPreconditionError):
-            build_client_prime(params)
+            build_client(params, reduced=True)
 
 
 class TestSliceAttacker:
@@ -209,7 +215,7 @@ class TestSliceAttacker:
                 for action, dist in row.items() if action == "busy"]
         assert len(busy) == 1
         (state, dist), = busy
-        assert list(dist.values()) == [F(1)]
+        assert [w for _, w in dist.items()] == [F(1)]
         target = dist.support[0]
         assert HACKED in model.labels[target]
 

@@ -10,8 +10,8 @@ import pytest
 from dispersal_mc import ModelParams, build_composed, uniform_probabilities
 from dispersal_mc.mdp import sccs
 from dispersal_mc.models import HACKED
-from dispersal_mc.solver import (ExactCapError, QueryError, check_pctl_interval,
-                                 exact_reach, qualitative_sets, solve_reach)
+from dispersal_mc.solver import (QueryError, exact_reach, qualitative_sets,
+                                 solve_reach)
 from helpers import make_mdp, random_params, value_iteration
 
 F = Fraction
@@ -117,11 +117,6 @@ class TestExactEngine:
         assert exact_reach(m, "goal", "max") == 1
         assert exact_reach(m, "goal", "min") == F(1, 2)
 
-    def test_cap_refusal(self):
-        m = slice_anchor_model()
-        with pytest.raises(ExactCapError):
-            exact_reach(m, HACKED, "min", cap=3)
-
     def test_agrees_with_value_iteration_on_random_grid(self):
         rng = random.Random(23)
         cyclic = 0
@@ -174,24 +169,3 @@ class TestEndComponents:
                               1: {}}, labels={1: ("goal",)})
         assert self.solved(with_stay) == (0, 1)
 
-
-class TestIntervalCheck:
-    def test_wide_interval_holds(self):
-        assert check_pctl_interval(slice_anchor_model(), 0, 1, HACKED)
-
-    def test_lower_bound_above_pmin_fails(self):
-        assert not check_pctl_interval(slice_anchor_model(), F(4, 5), 1, HACKED)
-
-    def test_scheduler_gap(self):
-        m = make_mdp({0: {"hit": {1: 1}, "miss": {2: 1}}, 1: {}, 2: {}},
-                     labels={1: ("goal",)})
-        assert check_pctl_interval(m, 0, 1, "goal")
-        assert not check_pctl_interval(m, F(1, 10), 1, "goal")
-
-    def test_exact_mode(self):
-        assert check_pctl_interval(slice_anchor_model(), F(3, 4), F(3, 4),
-                                   HACKED, exact=True)
-
-    def test_malformed_interval_rejected(self):
-        with pytest.raises(QueryError):
-            check_pctl_interval(slice_anchor_model(), F(3, 4), F(1, 4), HACKED)
