@@ -138,7 +138,10 @@ def _thresholds(doc: dict, n: int) -> tuple[int, int, tuple[Fraction, ...]]:
 def model_params_from_dict(doc: dict) -> ModelParams:
     _require(doc, "n")
     n = _int(doc, "n")
-    k1, k2, x = _thresholds(doc, n)
+    try:
+        k1, k2, x = _thresholds(doc, n)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     if "channels" in doc:
         p, a = _channel_vectors(doc)
         m = len(p)

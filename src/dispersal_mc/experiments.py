@@ -71,6 +71,8 @@ class SweepSpec:
             raise ParameterError("need 1 <= n_from <= n_to and a positive step")
         if self.m is None:
             raise ParameterError("m (number of servers/providers) is required")
+        if self.m < 1:
+            raise ParameterError(f"need m >= 1 servers/providers, got m={self.m}")
         if self.a is None and self.a_interval is None:
             raise ParameterError("either a or a_interval is required")
         if self.profile == "explicit" and self.n_from != self.n_to:

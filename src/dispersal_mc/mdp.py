@@ -15,6 +15,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 
+# Exploration refuses to index more states than this.
+STATE_CAP = 5_000_000
+
+
 class ModelError(Exception):
     """Structural problem in a model definition."""
 
@@ -111,30 +115,54 @@ class VarDecl:
             raise ModelError(f"variable {self.name}: init {self.init} outside range")
 
 
+GUARD_OPS = ("=", "<", ">=")
+UPDATE_OPS = ("=", "+")
+
+
+def _atoms(atoms, ops: tuple[str, ...], where: str) -> tuple[tuple[str, str, int], ...]:
+    """Normalise ``(var, op, const)`` atoms to a tuple, refusing unknown operators."""
+    atoms = tuple(tuple(a) for a in atoms)
+    for var, op, _ in atoms:
+        if op not in ops:
+            raise ModelError(f"{where}: unknown operator {op!r} on {var!r}")
+    return atoms
+
+
 @dataclass(frozen=True)
 class Branch:
     """One weighted outcome of a transition template.
 
-    ``update`` maps the source valuation to a partial assignment of new
-    variable values; unassigned variables keep their value. ``update_text``
-    is the PRISM rendering used by the exporter.
+    ``update`` is a tuple of ``(var, "=", k)`` and ``(var, "+", k)`` atoms,
+    all evaluated on the source valuation; unassigned variables keep their
+    value.
     """
 
     weight: Fraction
-    update: Callable[[Mapping[str, int]], Mapping[str, int]]
-    update_text: str = "true"
+    update: tuple[tuple[str, str, int], ...] = ()
+
+    def __post_init__(self):
+        update = _atoms(self.update, UPDATE_OPS, "update")
+        written = [var for var, _, _ in update]
+        if len(set(written)) != len(written):
+            raise ModelError(f"update {update} writes one variable twice")
+        object.__setattr__(self, "update", update)
 
 
 @dataclass(frozen=True)
 class TransitionTemplate:
-    """A guarded probabilistic transition in symbolic form."""
+    """A guarded probabilistic transition in symbolic form.
+
+    ``guard`` is a conjunction of ``(var, op, const)`` atoms with ``op`` one
+    of ``=``, ``<`` and ``>=``; the empty guard is always true.
+    """
 
     action: str
-    guard: Callable[[Mapping[str, int]], bool]
+    guard: tuple[tuple[str, str, int], ...]
     branches: tuple[Branch, ...]
-    guard_text: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "guard",
+                           _atoms(self.guard, GUARD_OPS, f"action {self.action!r}"))
         object.__setattr__(self, "branches", tuple(self.branches))
         total = Fraction(0)
         for b in self.branches:
@@ -147,25 +175,43 @@ class TransitionTemplate:
 
 @dataclass(frozen=True)
 class TemplateModule:
-    """A named set of variables plus the templates that may update them.
+    """A named set of variables, the templates that may update them, and labels.
 
-    ``reads`` lists foreign variables that guards or updates consult; such a
-    module only becomes expandable after composition with the module that
-    declares them.
+    ``labels`` maps each atomic proposition to the guard of the states that
+    carry it. Guards may read foreign variables (see :attr:`reads`), but
+    updates write only declared ones.
     """
 
     name: str
     variables: tuple[VarDecl, ...]
     templates: tuple[TransitionTemplate, ...]
-    reads: tuple[str, ...] = ()
+    labels: Mapping[str, tuple[tuple[str, str, int], ...]] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "templates", tuple(self.templates))
-        object.__setattr__(self, "reads", tuple(self.reads))
-        names = [d.name for d in self.variables]
-        if len(set(names)) != len(names):
+        object.__setattr__(self, "labels", {
+            prop: _atoms(guard, GUARD_OPS, f"label {prop!r}")
+            for prop, guard in dict(self.labels).items()})
+        names = set(self.var_names)
+        if len(names) != len(self.variables):
             raise ModelError(f"module {self.name}: duplicate variable declarations")
+        for t in self.templates:
+            for b in t.branches:
+                for var, _, _ in b.update:
+                    if var not in names:
+                        raise ModelError(f"module {self.name}: action {t.action!r} "
+                                         f"writes undeclared variable {var!r}")
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """Foreign variables that guards consult, sorted.
+
+        A module with any only becomes expandable after composition with the
+        module that declares them.
+        """
+        guards = [t.guard for t in self.templates] + list(self.labels.values())
+        return tuple(sorted({var for g in guards for var, _, _ in g} - set(self.var_names)))
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -174,9 +220,6 @@ class TemplateModule:
     @property
     def actions(self) -> frozenset[str]:
         return frozenset(t.action for t in self.templates)
-
-    def initial_valuation(self) -> dict[str, int]:
-        return {d.name: d.init for d in self.variables}
 
 
 class Mdp:
@@ -304,27 +347,48 @@ def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
                     yield comp
 
 
-def expand(module: TemplateModule,
-           labeler: Callable[[Mapping[str, int]], Iterable[str]] | None = None,
-           *,
-           ap: Iterable[str] | None = None,
-           max_states: int = 5_000_000) -> Mdp:
+def _intervals(guard, pos: dict[str, int], ranges) -> tuple[tuple[int, int, int], ...]:
+    """Compile guard atoms into ``(position, low, high)`` tests on a state tuple.
+
+    Within a variable's declared range, ``x < k`` is ``low <= x <= k - 1`` and
+    ``x >= k`` is ``k <= x <= high``.
+    """
+    tests = []
+    for var, op, k in guard:
+        i = pos[var]
+        low, high = ranges[i]
+        if op == "=":
+            tests.append((i, k, k))
+        elif op == "<":
+            tests.append((i, low, k - 1))
+        else:
+            tests.append((i, k, high))
+    return tuple(tests)
+
+
+def expand(module: TemplateModule) -> Mdp:
     """Breadth-first expansion of a template module into its reachable MDP.
 
     Only states reachable from the declared initial valuation are generated;
     state indices follow discovery order, so the result is deterministic for
-    a fixed template ordering.
+    a fixed template ordering. States carry the module's labels, and the
+    model's atomic propositions are the label names.
     """
-    decls = module.variables
     names = module.var_names
-    missing = [v for v in module.reads if v not in names]
+    missing = list(module.reads)
     if missing:
         raise ModelError(
             f"module {module.name}: unresolved foreign reads {missing}; compose first")
-    ranges = {d.name: (d.low, d.high) for d in decls}
+    pos = {name: i for i, name in enumerate(names)}
+    ranges = [(d.low, d.high) for d in module.variables]
+    compiled = []
+    for t in module.templates:
+        branches = tuple(
+            (b.weight, tuple((pos[var], op == "+", k) for var, op, k in b.update))
+            for b in t.branches if b.weight != 0)
+        compiled.append((t.action, _intervals(t.guard, pos, ranges), branches))
 
-    init = module.initial_valuation()
-    init_key = tuple(init[v] for v in names)
+    init_key = tuple(d.init for d in module.variables)
     states: list[tuple[int, ...]] = [init_key]
     index: dict[tuple[int, ...], int] = {init_key: 0}
     transitions: list[dict[str, Distribution]] = []
@@ -332,60 +396,61 @@ def expand(module: TemplateModule,
 
     while queue:
         i = queue.popleft()
-        v = dict(zip(names, states[i]))
+        s = states[i]
         row: dict[str, Distribution] = {}
-        for t in module.templates:
-            if not t.guard(v):
-                continue
-            if t.action in row:
-                raise ModelError(
-                    f"module {module.name}: two templates for action {t.action!r} "
-                    f"enabled in state {states[i]}")
-            masses: dict[int, Fraction] = {}
-            for b in t.branches:
-                if b.weight == 0:
-                    continue
-                upd = b.update(v)
-                nv = dict(v)
-                for var, val in upd.items():
-                    bounds = ranges.get(var)
-                    if bounds is None:
-                        raise ExplorationError(
-                            f"update writes undeclared variable {var!r}")
-                    if not bounds[0] <= val <= bounds[1]:
-                        raise ExplorationError(
-                            f"variable {var!r} left its range [{bounds[0]}, {bounds[1]}] "
-                            f"with value {val}")
-                    nv[var] = val
-                key = tuple(nv[name] for name in names)
-                j = index.get(key)
-                if j is None:
-                    j = len(states)
-                    if j >= max_states:
-                        raise ExplorationError(f"state cap {max_states} exceeded")
-                    index[key] = j
-                    states.append(key)
-                    queue.append(j)
-                masses[j] = masses.get(j, Fraction(0)) + b.weight
-            if masses:
-                row[t.action] = Distribution(masses)
+        for action, guard, branches in compiled:
+            for p, low, high in guard:
+                if not low <= s[p] <= high:
+                    break
+            else:
+                if action in row:
+                    raise ModelError(
+                        f"module {module.name}: two templates for action {action!r} "
+                        f"enabled in state {s}")
+                masses: dict[int, Fraction] = {}
+                for weight, update in branches:
+                    nv = list(s)
+                    for p, add, k in update:
+                        val = nv[p] + k if add else k
+                        low, high = ranges[p]
+                        if not low <= val <= high:
+                            raise ExplorationError(
+                                f"variable {names[p]!r} left its range [{low}, {high}] "
+                                f"with value {val}")
+                        nv[p] = val
+                    key = tuple(nv)
+                    j = index.get(key)
+                    if j is None:
+                        j = len(states)
+                        if j >= STATE_CAP:
+                            raise ExplorationError(f"state cap {STATE_CAP} exceeded")
+                        index[key] = j
+                        states.append(key)
+                        queue.append(j)
+                    masses[j] = masses.get(j, Fraction(0)) + weight
+                row[action] = Distribution(masses)
         transitions.append(row)
 
-    if labeler is None:
-        labels = [frozenset()] * len(states)
-    else:
-        labels = [frozenset(labeler(dict(zip(names, st)))) for st in states]
-    return Mdp(names, states, transitions, Distribution.point(0), labels, ap=ap)
+    label_tests = [(prop, _intervals(g, pos, ranges)) for prop, g in module.labels.items()]
+    interned: dict[frozenset[str], frozenset[str]] = {}
+    labels = []
+    for s in states:
+        lab = frozenset(prop for prop, tests in label_tests
+                        if all(low <= s[p] <= high for p, low, high in tests))
+        labels.append(interned.setdefault(lab, lab))
+    return Mdp(names, states, transitions, Distribution.point(0), labels,
+               ap=module.labels.keys())
 
 
 def compose_templates(left: TemplateModule, right: TemplateModule,
-                      shared: Iterable[str], name: str | None = None) -> TemplateModule:
+                      shared: Iterable[str]) -> TemplateModule:
     """Synchronous product of two template modules.
 
     Actions in ``shared`` fire only when a template of each side is enabled,
-    with branch weights multiplied; other actions interleave. Either side's
-    guards may read the other side's variables (they resolve against the
-    product valuation), but each side writes only its own variables.
+    with guards conjoined, updates joined and branch weights multiplied;
+    other actions interleave. Either side's guards may read the other side's
+    variables (they resolve against the product valuation), but each side
+    writes only its own variables. Labels are united and may not share a name.
     """
     shared = frozenset(shared)
     overlap = set(left.var_names) & set(right.var_names)
@@ -398,6 +463,9 @@ def compose_templates(left: TemplateModule, right: TemplateModule,
     clash = (acts_l & acts_r) - shared
     if clash:
         raise CompositionError(f"non-shared action names appear on both sides: {sorted(clash)}")
+    label_clash = left.labels.keys() & right.labels.keys()
+    if label_clash:
+        raise CompositionError(f"label names appear on both sides: {sorted(label_clash)}")
 
     templates: list[TransitionTemplate] = []
     templates.extend(t for t in left.templates if t.action not in shared)
@@ -411,34 +479,15 @@ def compose_templates(left: TemplateModule, right: TemplateModule,
                     continue
                 templates.append(_product_template(tl, tr))
 
-    declared = set(left.var_names) | set(right.var_names)
-    reads = tuple(sorted((set(left.reads) | set(right.reads)) - declared))
     return TemplateModule(
-        name=name or f"{left.name}||{right.name}",
+        name=f"{left.name}||{right.name}",
         variables=left.variables + right.variables,
         templates=tuple(templates),
-        reads=reads,
+        labels={**left.labels, **right.labels},
     )
 
 
 def _product_template(tl: TransitionTemplate, tr: TransitionTemplate) -> TransitionTemplate:
-    def guard(v, g1=tl.guard, g2=tr.guard):
-        return g1(v) and g2(v)
-
-    branches = []
-    for bl in tl.branches:
-        for br in tr.branches:
-            w = bl.weight * br.weight
-            if w == 0:
-                continue
-
-            def update(v, u1=bl.update, u2=br.update):
-                merged = dict(u1(v))
-                merged.update(u2(v))
-                return merged
-
-            branches.append(Branch(w, update,
-                                   update_text=f"{bl.update_text} & {br.update_text}"))
-    guard_text = " & ".join(t for t in (tl.guard_text, tr.guard_text) if t)
-    return TransitionTemplate(tl.action, guard, tuple(branches), guard_text=guard_text)
-
+    branches = tuple(Branch(bl.weight * br.weight, bl.update + br.update)
+                     for bl in tl.branches for br in tr.branches)
+    return TransitionTemplate(tl.action, tl.guard + tr.guard, branches)

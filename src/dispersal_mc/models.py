@@ -186,21 +186,6 @@ def lt_linear_profile(k1: int, k2: int, n: int) -> tuple[Fraction, ...]:
     return tuple((min(j, k2) - k1 + 1) * delta for j in range(k1, n + 1))
 
 
-def hacked_labeler(done_pc: int):
-    """Labeling that marks states where the intruder holds the message body."""
-    def label(v):
-        return (HACKED,) if v["pc_a"] == done_pc else ()
-    return label
-
-
-def attacker_done_pc(params: ModelParams, attacker: str) -> int:
-    if attacker == "slice":
-        return ATT_DONE
-    if attacker == "provider":
-        return params.m + 1
-    raise ParameterError(f"unknown attacker kind {attacker!r}")
-
-
 def build_client(params: ModelParams, *, reduced: bool = False) -> TemplateModule:
     """The slice-dispersing client, tracking per-server occupancy.
 
@@ -226,60 +211,30 @@ def build_client(params: ModelParams, *, reduced: bool = False) -> TemplateModul
     if not reduced:
         decls.extend(VarDecl(f"ctr_c_{i}", 0, c) for i in range(1, m + 1))
 
-    templates: list[TransitionTemplate] = []
+    back_to_pick = (("pc_c", "=", CLIENT_PICK), ("s_c", "=", 0))
+    sent = back_to_pick + (("ctr_c", "+", 1),)
     pick_branches = tuple(
-        Branch(params.p[i - 1],
-               lambda v, i=i: {"pc_c": CLIENT_SEND, "s_c": i},
-               update_text=f"(pc_c'=1) & (s_c'={i})")
+        Branch(params.p[i - 1], (("pc_c", "=", CLIENT_SEND), ("s_c", "=", i)))
         for i in range(1, m + 1) if params.p[i - 1] > 0
     )
-    templates.append(TransitionTemplate(
-        "pick",
-        lambda v: v["pc_c"] == CLIENT_PICK and v["ctr_c"] < n,
-        pick_branches,
-        guard_text=f"pc_c=0 & ctr_c<{n}",
-    ))
+    templates = [TransitionTemplate(
+        "pick", (("pc_c", "=", CLIENT_PICK), ("ctr_c", "<", n)), pick_branches)]
     if reduced:
         templates.append(TransitionTemplate(
-            "busy",
-            lambda v: v["pc_c"] == CLIENT_SEND,
-            (Branch(Fraction(1),
-                    lambda v: {"pc_c": CLIENT_PICK, "s_c": 0, "ctr_c": v["ctr_c"] + 1},
-                    update_text="(pc_c'=0) & (s_c'=0) & (ctr_c'=ctr_c+1)"),),
-            guard_text="pc_c=1",
-        ))
+            "busy", (("pc_c", "=", CLIENT_SEND),), (Branch(Fraction(1), sent),)))
     else:
         for i in range(1, m + 1):
             occ = f"ctr_c_{i}"
+            to_i = (("pc_c", "=", CLIENT_SEND), ("s_c", "=", i))
             templates.append(TransitionTemplate(
-                "busy",
-                lambda v, i=i, occ=occ: (v["pc_c"] == CLIENT_SEND and v["s_c"] == i
-                                         and v[occ] < c),
-                (Branch(Fraction(1),
-                        lambda v, occ=occ: {"pc_c": CLIENT_PICK, "s_c": 0,
-                                            "ctr_c": v["ctr_c"] + 1,
-                                            occ: v[occ] + 1},
-                        update_text=(f"(pc_c'=0) & (s_c'=0) & (ctr_c'=ctr_c+1)"
-                                     f" & ({occ}'={occ}+1)")),),
-                guard_text=f"pc_c=1 & s_c={i} & {occ}<{c}",
-            ))
+                "busy", to_i + ((occ, "<", c),),
+                (Branch(Fraction(1), sent + ((occ, "+", 1),)),)))
             templates.append(TransitionTemplate(
-                "retry",
-                lambda v, i=i, occ=occ: (v["pc_c"] == CLIENT_SEND and v["s_c"] == i
-                                         and v[occ] >= c),
-                (Branch(Fraction(1),
-                        lambda v: {"pc_c": CLIENT_PICK, "s_c": 0},
-                        update_text="(pc_c'=0) & (s_c'=0)"),),
-                guard_text=f"pc_c=1 & s_c={i} & {occ}>={c}",
-            ))
+                "retry", to_i + ((occ, ">=", c),),
+                (Branch(Fraction(1), back_to_pick),)))
     templates.append(TransitionTemplate(
-        "finish",
-        lambda v: v["pc_c"] == CLIENT_PICK and v["ctr_c"] == n,
-        (Branch(Fraction(1),
-                lambda v: {"pc_c": CLIENT_DONE},
-                update_text=f"(pc_c'={CLIENT_DONE})"),),
-        guard_text=f"pc_c=0 & ctr_c={n}",
-    ))
+        "finish", (("pc_c", "=", CLIENT_PICK), ("ctr_c", "=", n)),
+        (Branch(Fraction(1), (("pc_c", "=", CLIENT_DONE),)),)))
     return TemplateModule("client", tuple(decls), tuple(templates))
 
 
@@ -291,59 +246,36 @@ def build_slice_attacker(params: ModelParams) -> TemplateModule:
     the intruder tries to reconstruct; on failure it must intercept one more
     slice before trying again. The k2-th interception succeeds outright.
     """
-    n, m, k1, k2 = params.n, params.m, params.k1, params.k2
+    m, k1, k2 = params.m, params.k1, params.k2
     decls = (
         VarDecl("pc_a", 0, ATT_DONE),
         VarDecl("ctr_a", 0, k2),
     )
+    grab = ("ctr_a", "+", 1)
     templates: list[TransitionTemplate] = []
     for i in range(1, m + 1):
         ai = params.a[i - 1]
-        miss = Branch(1 - ai, lambda v: {}, update_text="true")
-
+        miss = Branch(1 - ai)
+        on_i = (("pc_a", "=", ATT_INTERCEPT), ("s_c", "=", i))
         if k1 >= 2:
-            grab = Branch(ai, lambda v: {"ctr_a": v["ctr_a"] + 1},
-                          update_text="(ctr_a'=ctr_a+1)")
             templates.append(TransitionTemplate(
-                "busy",
-                lambda v, i=i: (v["pc_a"] == ATT_INTERCEPT and v["s_c"] == i
-                                and v["ctr_a"] < k1 - 1),
-                (grab, miss),
-                guard_text=f"pc_a={ATT_INTERCEPT} & s_c={i} & ctr_a<{k1 - 1}",
-            ))
+                "busy", on_i + (("ctr_a", "<", k1 - 1),),
+                (Branch(ai, (grab,)), miss)))
         if k1 < k2:
-            grab = Branch(ai,
-                          lambda v: {"ctr_a": v["ctr_a"] + 1, "pc_a": ATT_RECONSTRUCT},
-                          update_text=f"(ctr_a'=ctr_a+1) & (pc_a'={ATT_RECONSTRUCT})")
             templates.append(TransitionTemplate(
-                "busy",
-                lambda v, i=i: (v["pc_a"] == ATT_INTERCEPT and v["s_c"] == i
-                                and k1 - 1 <= v["ctr_a"] < k2 - 1),
-                (grab, miss),
-                guard_text=(f"pc_a={ATT_INTERCEPT} & s_c={i} & "
-                            f"ctr_a>={k1 - 1} & ctr_a<{k2 - 1}"),
-            ))
-        grab = Branch(ai, lambda v: {"ctr_a": v["ctr_a"] + 1, "pc_a": ATT_DONE},
-                      update_text=f"(ctr_a'=ctr_a+1) & (pc_a'={ATT_DONE})")
+                "busy", on_i + (("ctr_a", ">=", k1 - 1), ("ctr_a", "<", k2 - 1)),
+                (Branch(ai, (grab, ("pc_a", "=", ATT_RECONSTRUCT))), miss)))
         templates.append(TransitionTemplate(
-            "busy",
-            lambda v, i=i: (v["pc_a"] == ATT_INTERCEPT and v["s_c"] == i
-                            and v["ctr_a"] == k2 - 1),
-            (grab, miss),
-            guard_text=f"pc_a={ATT_INTERCEPT} & s_c={i} & ctr_a={k2 - 1}",
-        ))
+            "busy", on_i + (("ctr_a", "=", k2 - 1),),
+            (Branch(ai, (grab, ("pc_a", "=", ATT_DONE))), miss)))
     for j in range(k1, k2):
         xj = params.x_at(j)
         templates.append(TransitionTemplate(
-            "reconstruct",
-            lambda v, j=j: v["pc_a"] == ATT_RECONSTRUCT and v["ctr_a"] == j,
-            (Branch(xj, lambda v: {"pc_a": ATT_DONE},
-                    update_text=f"(pc_a'={ATT_DONE})"),
-             Branch(1 - xj, lambda v: {"pc_a": ATT_INTERCEPT},
-                    update_text=f"(pc_a'={ATT_INTERCEPT})")),
-            guard_text=f"pc_a={ATT_RECONSTRUCT} & ctr_a={j}",
-        ))
-    return TemplateModule("intruder", decls, tuple(templates), reads=("s_c",))
+            "reconstruct", (("pc_a", "=", ATT_RECONSTRUCT), ("ctr_a", "=", j)),
+            (Branch(xj, (("pc_a", "=", ATT_DONE),)),
+             Branch(1 - xj, (("pc_a", "=", ATT_INTERCEPT),)))))
+    return TemplateModule("intruder", decls, tuple(templates),
+                          labels={HACKED: (("pc_a", "=", ATT_DONE),)})
 
 
 def build_provider_attacker(params: ModelParams) -> TemplateModule:
@@ -367,46 +299,37 @@ def build_provider_attacker(params: ModelParams) -> TemplateModule:
     for i in range(1, m + 1):
         ai = params.a[i - 1]
         templates.append(TransitionTemplate(
-            "corrupt",
-            lambda v, i=i: v["pc_a"] == i - 1,
-            (Branch(ai, lambda v, i=i: {f"att_a_{i}": 1, "pc_a": i},
-                    update_text=f"(att_a_{i}'=1) & (pc_a'={i})"),
-             Branch(1 - ai, lambda v, i=i: {"pc_a": i},
-                    update_text=f"(pc_a'={i})")),
-            guard_text=f"pc_a={i - 1}",
-        ))
+            "corrupt", (("pc_a", "=", i - 1),),
+            (Branch(ai, ((f"att_a_{i}", "=", 1), ("pc_a", "=", i))),
+             Branch(1 - ai, (("pc_a", "=", i),)))))
     for i in range(1, m + 1):
+        on_i = (("pc_a", "=", m), ("s_c", "=", i))
         templates.append(TransitionTemplate(
-            "busy",
-            lambda v, i=i: v["pc_a"] == m and v["s_c"] == i and v[f"att_a_{i}"] == 1,
-            (Branch(Fraction(1), lambda v: {"ctr_a": v["ctr_a"] + 1},
-                    update_text="(ctr_a'=ctr_a+1)"),),
-            guard_text=f"pc_a={m} & s_c={i} & att_a_{i}=1",
-        ))
+            "busy", on_i + ((f"att_a_{i}", "=", 1),),
+            (Branch(Fraction(1), (("ctr_a", "+", 1),)),)))
         templates.append(TransitionTemplate(
-            "busy",
-            lambda v, i=i: v["pc_a"] == m and v["s_c"] == i and v[f"att_a_{i}"] == 0,
-            (Branch(Fraction(1), lambda v: {}, update_text="true"),),
-            guard_text=f"pc_a={m} & s_c={i} & att_a_{i}=0",
-        ))
+            "busy", on_i + ((f"att_a_{i}", "=", 0),), (Branch(Fraction(1)),)))
+    all_sent = (("pc_a", "=", m), ("ctr_c", "=", n))
     for j in range(k1, n + 1):
         xj = params.x_at(j)
         templates.append(TransitionTemplate(
-            "reconstruct",
-            lambda v, j=j: v["pc_a"] == m and v["ctr_c"] == n and v["ctr_a"] == j,
-            (Branch(xj, lambda v: {"pc_a": done}, update_text=f"(pc_a'={done})"),
-             Branch(1 - xj, lambda v: {"pc_a": failed}, update_text=f"(pc_a'={failed})")),
-            guard_text=f"pc_a={m} & ctr_c={n} & ctr_a={j}",
-        ))
+            "reconstruct", all_sent + (("ctr_a", "=", j),),
+            (Branch(xj, (("pc_a", "=", done),)),
+             Branch(1 - xj, (("pc_a", "=", failed),)))))
     templates.append(TransitionTemplate(
-        "reconstruct",
-        lambda v: v["pc_a"] == m and v["ctr_c"] == n and v["ctr_a"] < k1,
-        (Branch(Fraction(1), lambda v: {"pc_a": failed},
-                update_text=f"(pc_a'={failed})"),),
-        guard_text=f"pc_a={m} & ctr_c={n} & ctr_a<{k1}",
-    ))
+        "reconstruct", all_sent + (("ctr_a", "<", k1),),
+        (Branch(Fraction(1), (("pc_a", "=", failed),)),)))
     return TemplateModule("intruder", tuple(decls), tuple(templates),
-                          reads=("s_c", "ctr_c"))
+                          labels={HACKED: (("pc_a", "=", done),)})
+
+
+def build_intruder(params: ModelParams, attacker: str) -> TemplateModule:
+    """The intruder module of kind ``attacker``: ``"slice"`` or ``"provider"``."""
+    if attacker == "slice":
+        return build_slice_attacker(params)
+    elif attacker == "provider":
+        return build_provider_attacker(params)
+    raise ParameterError(f"unknown attacker kind {attacker!r}")
 
 
 def build_composed(params: ModelParams, attacker: str, *, reduced: bool = False) -> Mdp:
@@ -416,12 +339,5 @@ def build_composed(params: ModelParams, attacker: str, *, reduced: bool = False)
     (requires c >= n).
     """
     client = build_client(params, reduced=reduced)
-    if attacker == "slice":
-        intruder = build_slice_attacker(params)
-    elif attacker == "provider":
-        intruder = build_provider_attacker(params)
-    else:
-        raise ParameterError(f"unknown attacker kind {attacker!r}")
-    product = compose_templates(client, intruder, {"busy"})
-    labeler = hacked_labeler(attacker_done_pc(params, attacker))
-    return expand(product, labeler, ap=(HACKED,))
+    product = compose_templates(client, build_intruder(params, attacker), {"busy"})
+    return expand(product)

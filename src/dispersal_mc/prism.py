@@ -1,18 +1,26 @@
 """Render the parametric models as PRISM-language source.
 
-The emitted text mirrors the internal transition templates one-to-one (one
-command per template, same action labels, probabilities as exact rationals),
-so an external checker run on the exported file analyses the same model the
-in-process engine does.
+The emitted text is rendered from the internal transition templates
+one-to-one (one command per template, same action labels, probabilities as
+exact rationals, guards and updates from the same atoms that expansion
+evaluates), so an external checker run on the exported file analyses the
+same model the in-process engine does.
 """
 
 from __future__ import annotations
 
 from .mdp import TemplateModule
-from .models import (ModelParams, ParameterError, attacker_done_pc,
-                     build_client, build_provider_attacker,
-                     build_slice_attacker)
+from .models import ModelParams, build_client, build_intruder
 from .rationals import format_rational
+
+
+def _render_guard(guard) -> str:
+    return " & ".join(f"{var}{op}{k}" for var, op, k in guard) or "true"
+
+
+def _render_update(update) -> str:
+    return " & ".join(f"({var}'={var}+{k})" if op == "+" else f"({var}'={k})"
+                      for var, op, k in update) or "true"
 
 
 def _render_module(module: TemplateModule, title: str) -> list[str]:
@@ -21,13 +29,10 @@ def _render_module(module: TemplateModule, title: str) -> list[str]:
         lines.append(f"  {decl.name} : [{decl.low}..{decl.high}] init {decl.init};")
     lines.append("")
     for t in module.templates:
-        if not t.guard_text:
-            raise ParameterError(
-                f"template for action {t.action!r} carries no PRISM rendering")
         updates = " + ".join(
-            f"{format_rational(b.weight)} : {b.update_text}"
+            f"{format_rational(b.weight)} : {_render_update(b.update)}"
             for b in t.branches if b.weight != 0)
-        lines.append(f"  [{t.action}] {t.guard_text} -> {updates};")
+        lines.append(f"  [{t.action}] {_render_guard(t.guard)} -> {updates};")
     lines.append("endmodule")
     return lines
 
@@ -40,12 +45,7 @@ def export_prism(params: ModelParams, attacker: str) -> str:
     composition matches the in-process one.
     """
     client = build_client(params)
-    if attacker == "slice":
-        intruder = build_slice_attacker(params)
-    elif attacker == "provider":
-        intruder = build_provider_attacker(params)
-    else:
-        raise ParameterError(f"unknown attacker kind {attacker!r}")
+    intruder = build_intruder(params, attacker)
 
     lines = [
         "mdp",
@@ -58,6 +58,7 @@ def export_prism(params: ModelParams, attacker: str) -> str:
     lines.append("")
     lines.extend(_render_module(intruder, "intruder"))
     lines.append("")
-    done = attacker_done_pc(params, attacker)
-    lines.append(f'label "hacked" = pc_a={done};')
+    for module in (client, intruder):
+        lines.extend(f'label "{prop}" = {_render_guard(guard)};'
+                     for prop, guard in module.labels.items())
     return "\n".join(lines) + "\n"

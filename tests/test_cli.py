@@ -147,6 +147,34 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
 
+    @pytest.mark.parametrize("command, doc", [
+        ("check", {"n": 5, "m": 1, "profile": "lt-linear", "k1": 3, "k2": 2,
+                   "a": ["1/2"]}),
+        ("check", {"n": 5, "m": 1, "profile": "rs", "ratio": "0", "a": ["1/2"]}),
+        ("sweep", {"attacker": "slice", "profile": "lt-linear", "n_from": 5,
+                   "n_to": 5, "m": 0, "a_interval": ["0", "0.25"]}),
+    ], ids=["lt-linear-k1-above-k2", "rs-zero-ratio", "sweep-zero-servers"])
+    def test_config_fault_exit_two(self, tmp_path, capsys, command, doc):
+        cfg = str(write_json(tmp_path, "fault.json", doc))
+        argv = (["check", "--config", cfg, "--attacker", "slice"] if command == "check"
+                else ["sweep", "--spec", cfg, "--out", str(tmp_path / "out.csv")])
+        code, _ = run(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_state_cap_is_a_clean_refusal(self, tmp_path, capsys, monkeypatch):
+        from dispersal_mc import mdp
+        from dispersal_mc.models import build_composed
+        monkeypatch.setattr(mdp, "STATE_CAP", 10)
+        cfg = write_json(tmp_path, "cap.json", {
+            "n": 3, "m": 2, "c": 3, "profile": "lt-linear", "k1": 2, "k2": 3,
+            "a": ["0.1", "0.2"]})
+        with pytest.raises(mdp.ExplorationError, match="state cap 10 exceeded"):
+            build_composed(load_model_params(cfg), "slice")
+        code, _ = run(["check", "--config", str(cfg), "--attacker", "slice"])
+        assert code == 1
+        assert capsys.readouterr().err == "refused: state cap 10 exceeded\n"
+
     def test_bisim_verdict(self, tmp_path):
         cfg_a = write_json(tmp_path, "a.json", SLICE_ANCHOR)
         cfg_b = write_json(tmp_path, "b.json", dict(SLICE_ANCHOR, a=["1/3"]))

@@ -1,5 +1,6 @@
 """Core MDP machinery: distributions, validation, expansion, template composition."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -71,8 +72,8 @@ def counter_module(limit=2):
         (VarDecl("x", 0, limit),),
         (TransitionTemplate(
             "tick",
-            lambda v: v["x"] < limit,
-            (Branch(Fraction(1), lambda v: {"x": v["x"] + 1}),)),),
+            (("x", "<", limit),),
+            (Branch(Fraction(1), (("x", "+", 1),)),)),),
     )
 
 
@@ -86,8 +87,8 @@ class TestExpand:
     def test_unsatisfiable_guard(self):
         mod = TemplateModule(
             "stuck", (VarDecl("x", 0, 5),),
-            (TransitionTemplate("go", lambda v: v["x"] > 3,
-                                (Branch(Fraction(1), lambda v: {"x": 0}),)),))
+            (TransitionTemplate("go", (("x", ">=", 4),),
+                                (Branch(Fraction(1), (("x", "=", 0),)),)),))
         m = expand(mod)
         assert m.state_count == 1
         assert m.transition_count == 0
@@ -95,38 +96,54 @@ class TestExpand:
     def test_range_overflow_names_variable(self):
         mod = TemplateModule(
             "bad", (VarDecl("x", 0, 1),),
-            (TransitionTemplate("go", lambda v: True,
-                                (Branch(Fraction(1), lambda v: {"x": v["x"] + 1}),)),))
+            (TransitionTemplate("go", (),
+                                (Branch(Fraction(1), (("x", "+", 1),)),)),))
         with pytest.raises(ExplorationError, match="'x'"):
             expand(mod)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ModelError, match="sum"):
-            TransitionTemplate("go", lambda v: True,
-                               (Branch(Fraction(1, 2), lambda v: {}),))
+            TransitionTemplate("go", (), (Branch(Fraction(1, 2)),))
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ModelError, match="unknown operator '>'"):
+            TransitionTemplate("go", (("x", ">", 3),), (Branch(Fraction(1)),))
+        with pytest.raises(ModelError, match="unknown operator '-'"):
+            Branch(Fraction(1), (("x", "-", 1),))
+
+    def test_branch_writing_a_variable_twice_rejected(self):
+        with pytest.raises(ModelError, match="twice"):
+            Branch(Fraction(1), (("x", "=", 0), ("x", "+", 1)))
+
+    def test_write_to_undeclared_variable_rejected_at_build(self):
+        with pytest.raises(ModelError, match="undeclared variable 'y'"):
+            TemplateModule(
+                "writer", (VarDecl("x", 0, 1),),
+                (TransitionTemplate("go", (), (Branch(Fraction(1), (("y", "=", 1),)),)),))
 
     def test_same_action_conflict_rejected(self):
         mod = TemplateModule(
             "clash", (VarDecl("x", 0, 1),),
-            (TransitionTemplate("go", lambda v: True,
-                                (Branch(Fraction(1), lambda v: {"x": 1}),)),
-             TransitionTemplate("go", lambda v: True,
-                                (Branch(Fraction(1), lambda v: {"x": 0}),))))
+            (TransitionTemplate("go", (),
+                                (Branch(Fraction(1), (("x", "=", 1),)),)),
+             TransitionTemplate("go", (),
+                                (Branch(Fraction(1), (("x", "=", 0),)),))))
         with pytest.raises(ModelError, match="two templates"):
             expand(mod)
 
     def test_foreign_reads_block_standalone_expansion(self):
         mod = TemplateModule(
             "reader", (VarDecl("x", 0, 1),),
-            (TransitionTemplate("go", lambda v: v["y"] == 0,
-                                (Branch(Fraction(1), lambda v: {"x": 1}),)),),
-            reads=("y",))
+            (TransitionTemplate("go", (("y", "=", 0),),
+                                (Branch(Fraction(1), (("x", "=", 1),)),)),))
+        assert mod.reads == ("y",)
         with pytest.raises(ModelError, match="foreign"):
             expand(mod)
 
     def test_labeler_and_ap(self):
-        m = expand(counter_module(2), labeler=lambda v: ("full",) if v["x"] == 2 else (),
-                   ap=("full", "spare"))
+        mod = dataclasses.replace(counter_module(2),
+                                  labels={"full": (("x", "=", 2),), "spare": (("x", "<", 0),)})
+        m = expand(mod)
         assert m.labels[m.index_of((2,))] == {"full"}
         assert m.ap == {"full", "spare"}
 
@@ -135,9 +152,9 @@ def coin_module(name, var, p, action="flip"):
     return TemplateModule(
         name, (VarDecl(var, 0, 1),),
         (TransitionTemplate(
-            action, lambda v, var=var: v[var] == 0,
-            (Branch(p, lambda v, var=var: {var: 1}),
-             Branch(1 - p, lambda v, var=var: {var: 0}))),),
+            action, ((var, "=", 0),),
+            (Branch(p, ((var, "=", 1),)),
+             Branch(1 - p, ((var, "=", 0),)))),),
     )
 
 
@@ -146,13 +163,12 @@ class TestComposeTemplates:
         # writer sets w once under busy; reader's busy is guarded on w
         writer = TemplateModule(
             "w", (VarDecl("w", 0, 1),),
-            (TransitionTemplate("busy", lambda v: v["w"] == 0,
-                                (Branch(Fraction(1), lambda v: {"w": 1}),)),))
+            (TransitionTemplate("busy", (("w", "=", 0),),
+                                (Branch(Fraction(1), (("w", "=", 1),)),)),))
         reader = TemplateModule(
             "r", (VarDecl("r", 0, 1),),
-            (TransitionTemplate("busy", lambda v: v["w"] == 0 and v["r"] == 0,
-                                (Branch(Fraction(1), lambda v: {"r": 1}),)),),
-            reads=("w",))
+            (TransitionTemplate("busy", (("w", "=", 0), ("r", "=", 0)),
+                                (Branch(Fraction(1), (("r", "=", 1),)),)),))
         prod = compose_templates(writer, reader, shared=("busy",))
         assert prod.reads == ()
         m = expand(prod)
@@ -188,6 +204,18 @@ class TestComposeTemplates:
         right = coin_module("r", "y", Fraction(1, 2))
         with pytest.raises(CompositionError, match="both sides"):
             compose_templates(left, right, shared=())
+
+    def test_label_clash_rejected_and_labels_united(self):
+        left = dataclasses.replace(coin_module("l", "x", Fraction(1, 2), action="a"),
+                                   labels={"done": (("x", "=", 1),)})
+        right = dataclasses.replace(coin_module("r", "y", Fraction(1, 2), action="b"),
+                                    labels={"done": (("y", "=", 1),)})
+        with pytest.raises(CompositionError, match="label names.*'done'"):
+            compose_templates(left, right, shared=())
+        right = dataclasses.replace(right, labels={"other": (("y", "=", 1),)})
+        prod = compose_templates(left, right, shared=())
+        assert prod.name == "l||r"
+        assert prod.labels == {"done": (("x", "=", 1),), "other": (("y", "=", 1),)}
 
 
 def _reachable(m, s):

@@ -12,7 +12,8 @@ from dispersal_mc import (AbstractionPreconditionError, Channel, Distribution,
                           build_composed, expand,
                           expand_channels, lt_linear_profile, round_half_up,
                           rs_profile, uniform_probabilities, validate)
-from dispersal_mc.models import HACKED, attacker_done_pc, hacked_labeler
+from dispersal_mc.models import (HACKED, build_provider_attacker,
+                                 build_slice_attacker)
 from dispersal_mc.solver import exact_reach, solve_reach
 from helpers import explore_client_states, random_params
 
@@ -319,8 +320,5 @@ class TestBuiltModelInvariants:
     def test_attacker_done_pc(self):
         params = simple_params(n=2, m=2, c=2, a=(F(1, 2), F(1, 2)),
                                p=uniform_probabilities(2))
-        assert attacker_done_pc(params, "slice") == 2
-        assert attacker_done_pc(params, "provider") == 3
-        lab = hacked_labeler(3)
-        assert lab({"pc_a": 3}) == (HACKED,)
-        assert lab({"pc_a": 2}) == ()
+        assert build_slice_attacker(params).labels == {HACKED: (("pc_a", "=", 2),)}
+        assert build_provider_attacker(params).labels == {HACKED: (("pc_a", "=", 3),)}

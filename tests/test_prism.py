@@ -1,10 +1,17 @@
-"""PRISM-language export."""
+"""PRISM-language export, checked for shape and, through a reader, for meaning."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
-from dispersal_mc import ModelParams, uniform_probabilities, lt_linear_profile
-from dispersal_mc.models import (build_client, build_provider_attacker,
-                                 build_slice_attacker)
+import pytest
+
+from acceptance_grid import build_grid
+from dispersal_mc import (Branch, ModelParams, TemplateModule, TransitionTemplate,
+                          VarDecl, compose_templates, expand, lt_linear_profile,
+                          uniform_probabilities)
+from dispersal_mc.models import (build_client, build_composed,
+                                 build_provider_attacker, build_slice_attacker)
 from dispersal_mc.prism import export_prism
 
 F = Fraction
@@ -55,3 +62,83 @@ class TestExport:
         assert "att_a_1 : [0..1] init 0;" in text
         assert "ctr_c=2" in text          # reconstruction gated on completion
         assert 'label "hacked" = pc_a=3;' in text
+
+
+# --- a reader for the exported subset -----------------------------------------
+
+_DECL = re.compile(r"(\w+) : \[(-?\d+)\.\.(-?\d+)\] init (-?\d+);")
+_COMMAND = re.compile(r"\[(\w+)\] (.+) -> (.+);")
+_LABEL = re.compile(r'label "(\w+)" = (.+);')
+_GUARD_ATOM = re.compile(r"(\w+)(>=|<|=)(-?\d+)")
+_SET = re.compile(r"\((\w+)'=(-?\d+)\)")
+_ADD = re.compile(r"\((\w+)'=(\w+)\+(-?\d+)\)")
+
+
+def _parse_guard(text):
+    if text == "true":
+        return ()
+    atoms = []
+    for part in text.split(" & "):
+        var, op, k = _GUARD_ATOM.fullmatch(part).groups()
+        atoms.append((var, op, int(k)))
+    return tuple(atoms)
+
+
+def _parse_update(text):
+    if text == "true":
+        return ()
+    atoms = []
+    for part in text.split(" & "):
+        add = _ADD.fullmatch(part)
+        if add:
+            var, same, k = add.groups()
+            assert same == var
+            atoms.append((var, "+", int(k)))
+        else:
+            var, k = _SET.fullmatch(part).groups()
+            atoms.append((var, "=", int(k)))
+    return tuple(atoms)
+
+
+def read_prism(text):
+    """Parse exported PRISM text back into template modules and labels."""
+    modules, labels = [], {}
+    current = None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("//") or line == "mdp":
+            continue
+        if line.startswith("module "):
+            current = (line.split()[1], [], [])
+        elif line == "endmodule":
+            name, decls, templates = current
+            modules.append(TemplateModule(name, decls, templates))
+            current = None
+        elif line.startswith("label "):
+            prop, guard = _LABEL.fullmatch(line).groups()
+            labels[prop] = _parse_guard(guard)
+        elif line.startswith("["):
+            action, guard, body = _COMMAND.fullmatch(line).groups()
+            branches = []
+            for part in body.split(" + "):
+                weight, update = part.split(" : ", 1)
+                branches.append(Branch(Fraction(weight), _parse_update(update)))
+            current[2].append(TransitionTemplate(action, _parse_guard(guard), branches))
+        else:
+            name, low, high, init = _DECL.fullmatch(line).groups()
+            current[1].append(VarDecl(name, int(low), int(high), int(init)))
+    return modules, labels
+
+
+@pytest.mark.parametrize("name, params, attacker", build_grid(),
+                         ids=[name for name, _, _ in build_grid()])
+def test_export_reads_back_as_the_same_mdp(name, params, attacker):
+    (client, intruder), labels = read_prism(export_prism(params, attacker))
+    product = compose_templates(client, intruder, {"busy"})
+    read = expand(dataclasses.replace(product, labels=labels))
+    built = build_composed(params, attacker)
+    assert read.variables == built.variables
+    assert read.states == built.states
+    assert read.transitions == built.transitions
+    assert read.labels == built.labels
+    assert read.ap == built.ap
