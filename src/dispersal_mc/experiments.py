@@ -75,8 +75,22 @@ class SweepSpec:
             raise ParameterError(f"need m >= 1 servers/providers, got m={self.m}")
         if self.a is None and self.a_interval is None:
             raise ParameterError("either a or a_interval is required")
-        if self.profile == "explicit" and self.n_from != self.n_to:
-            raise ParameterError("explicit profiles only support single-point sweeps")
+        for name in ("a", "p"):
+            given = getattr(self, name)
+            if given is not None and len(given) != self.m:
+                raise ParameterError(f"field {name!r}: expected {self.m} probabilities "
+                                     f"for m={self.m}, got {len(given)}")
+        if self.p is not None and sum(self.p, Fraction(0)) != 1:
+            raise ParameterError(f"field 'p': routing probabilities sum to "
+                                 f"{sum(self.p, Fraction(0))}, not 1")
+        if self.profile == "explicit":
+            if self.n_from != self.n_to:
+                raise ParameterError("explicit profiles only support single-point sweeps")
+        else:
+            for name in ("k1", "k2", "x"):
+                if getattr(self, name) is not None:
+                    raise ParameterError(f"field {name!r}: only the explicit profile "
+                                         f"reads it, not {self.profile!r}")
 
     def points(self) -> list[int]:
         return list(range(self.n_from, self.n_to + 1, self.n_step))

@@ -12,7 +12,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 
 # Exploration refuses to index more states than this.
@@ -229,25 +229,20 @@ class Mdp:
     readers is safe.
     """
 
-    __slots__ = ("variables", "states", "transitions", "initial", "labels", "ap", "actions", "_index")
+    __slots__ = ("variables", "states", "transitions", "initial", "labels", "ap")
 
     def __init__(self, variables, states, transitions, initial, labels, ap=None):
         self.variables = tuple(variables)
         self.states = [tuple(s) for s in states]
-        self.transitions = [dict(row) for row in transitions]
+        self.transitions = list(transitions)
         self.initial = initial if isinstance(initial, Distribution) else Distribution(initial)
         self.labels = [frozenset(lab) for lab in labels]
         if not (len(self.states) == len(self.transitions) == len(self.labels)):
             raise ModelError("states, transitions and labels must have equal length")
-        acts: set[str] = set()
-        for row in self.transitions:
-            acts.update(row)
-        self.actions = tuple(sorted(acts))
         if ap is not None:
             self.ap = frozenset(ap)
         else:
             self.ap = frozenset().union(*self.labels) if self.labels else frozenset()
-        self._index = {s: i for i, s in enumerate(self.states)}
 
     @property
     def state_count(self) -> int:
@@ -261,15 +256,11 @@ class Mdp:
     def valuation(self, i: int) -> dict[str, int]:
         return dict(zip(self.variables, self.states[i]))
 
-    def index_of(self, state: Sequence[int]) -> int:
-        return self._index[tuple(state)]
-
     def states_with(self, prop: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if prop in lab]
 
     def __repr__(self) -> str:
-        return (f"<Mdp {len(self.states)} states, {self.transition_count} transitions, "
-                f"actions={list(self.actions)}>")
+        return f"<Mdp {len(self.states)} states, {self.transition_count} transitions>"
 
 
 def validate(m: Mdp) -> list[str]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .mdp import Distribution, Mdp, sccs
 
@@ -34,135 +33,6 @@ class ReachResult:
     pmin: float
     pmax: float
     iterations: int
-
-
-def target_states(m: Mdp, target: str) -> frozenset[int]:
-    if target not in m.ap:
-        raise QueryError(f"proposition {target!r} is not in the model's alphabet")
-    return frozenset(m.states_with(target))
-
-
-def _predecessors(m: Mdp) -> list[list[tuple[int, str]]]:
-    pred: list[list[tuple[int, str]]] = [[] for _ in m.states]
-    for s, row in enumerate(m.transitions):
-        for action, dist in row.items():
-            for t in dist.support:
-                pred[t].append((s, action))
-    return pred
-
-
-def _backward_reach(m: Mdp, sources: Iterable[int], pred,
-                    blocked: frozenset[int] = frozenset()) -> set[int]:
-    """States with a path to ``sources`` whose interior avoids ``blocked``."""
-    seen = set(sources)
-    stack = list(seen)
-    while stack:
-        t = stack.pop()
-        for s, _ in pred[t]:
-            if s not in seen and s not in blocked:
-                seen.add(s)
-                stack.append(s)
-    return seen
-
-
-def _prob0_max(m: Mdp, targets: frozenset[int], pred) -> frozenset[int]:
-    """States from which no scheduler reaches the target with positive probability."""
-    can_reach = _backward_reach(m, targets, pred)
-    return frozenset(range(len(m.states))) - can_reach
-
-
-def _prob1_max(m: Mdp, targets: frozenset[int], pred) -> frozenset[int]:
-    """States where some scheduler reaches the target almost surely.
-
-    Classic nested fixpoint: the outer loop shrinks a candidate set X, the
-    inner loop grows, inside X, the set of states that can step toward the
-    target without ever risking a fall out of X. The inner fixpoint runs as a
-    predecessor worklist.
-    """
-    supports = [{action: dist.support for action, dist in row.items()}
-                for row in m.transitions]
-    x = set(range(len(m.states)))
-    while True:
-        in_y = [False] * len(m.states)
-        for t in targets:
-            in_y[t] = True
-        worklist = list(targets)
-        count = len(targets)
-        while worklist:
-            t = worklist.pop()
-            for s, action in pred[t]:
-                if in_y[s] or s not in x:
-                    continue
-                if all(u in x for u in supports[s][action]):
-                    in_y[s] = True
-                    count += 1
-                    worklist.append(s)
-        if count == len(x):
-            return frozenset(s for s in x)
-        x = {s for s in x if in_y[s]}
-
-
-def _prob0_min(m: Mdp, targets: frozenset[int], pred) -> frozenset[int]:
-    """States where some scheduler avoids the target forever.
-
-    Greatest fixpoint: a state stays while it is not a target and either has
-    no choices at all or has a choice whose entire support stays. Removal
-    cascades run over a predecessor worklist with per-choice counters of
-    successors already outside the set.
-    """
-    n = len(m.states)
-    removed = [False] * n
-    for t in targets:
-        removed[t] = True
-    out_count: dict[tuple[int, str], int] = {}
-    safe_choices = [0] * n
-    for s, row in enumerate(m.transitions):
-        for action, dist in row.items():
-            cnt = sum(1 for u in dist.support if removed[u])
-            out_count[(s, action)] = cnt
-            if cnt == 0:
-                safe_choices[s] += 1
-    worklist = []
-    for s, row in enumerate(m.transitions):
-        if not removed[s] and row and safe_choices[s] == 0:
-            removed[s] = True
-            worklist.append(s)
-    while worklist:
-        t = worklist.pop()
-        for s, action in pred[t]:
-            if removed[s]:
-                continue
-            key = (s, action)
-            out_count[key] += 1
-            if out_count[key] == 1:
-                safe_choices[s] -= 1
-                if safe_choices[s] == 0 and m.transitions[s]:
-                    removed[s] = True
-                    worklist.append(s)
-    return frozenset(s for s in range(n) if not removed[s])
-
-
-def _prob1_min(m: Mdp, targets: frozenset[int], pred,
-               prob0min: frozenset[int]) -> frozenset[int]:
-    """States where every scheduler reaches the target almost surely.
-
-    The complement is exactly the set with a target-free path into the region
-    where some scheduler avoids the target forever.
-    """
-    bad = _backward_reach(m, prob0min, pred, blocked=targets)
-    return frozenset(range(len(m.states))) - frozenset(bad)
-
-
-def qualitative_sets(m: Mdp, target: str, direction: str) -> tuple[frozenset[int], frozenset[int]]:
-    """Graph-only (Prob0, Prob1) sets for one optimization direction."""
-    targets = target_states(m, target)
-    pred = _predecessors(m)
-    if direction == "max":
-        return _prob0_max(m, targets, pred), _prob1_max(m, targets, pred)
-    if direction == "min":
-        p0 = _prob0_min(m, targets, pred)
-        return p0, _prob1_min(m, targets, pred, p0)
-    raise QueryError(f"direction must be 'min' or 'max', got {direction!r}")
 
 
 def solve_reach(m: Mdp, target: str) -> ReachResult:
@@ -195,7 +65,9 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
     Targets are absorbing, so each is an SCC of its own. Unsolved entries
     hold the integer 0, which is also the value of a state without actions.
     """
-    targets = target_states(m, target)
+    if target not in m.ap:
+        raise QueryError(f"proposition {target!r} is not in the model's alphabet")
+    targets = frozenset(m.states_with(target))
     one = Fraction(1) if exact else 1.0
     weights = Distribution.items if exact else Distribution.floats
     values = [[0] * len(m.states) for _ in bests]

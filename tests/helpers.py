@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 
 from dispersal_mc import Distribution, Mdp, ModelParams
-from dispersal_mc.solver import qualitative_sets
 
 
 def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
@@ -47,19 +46,22 @@ def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> 
     """Min/max reachability of the initial distribution by plain value iteration.
 
     The numeric reference for the solver's SCC engine, sharing none of its
-    code: pin the global qualitative sets, then run Gauss-Seidel sweeps over
-    every other state, in reverse index order, until no value rises by
-    ``tol`` or more.
+    code. Targets hold 1 and every other state starts at 0; states without
+    actions stay there. Gauss-Seidel sweeps over the remaining states, in
+    reverse index order, run until no value rises by ``tol`` or more. Both
+    Pmin and Pmax are the least fixpoints of their Bellman operators (Baier &
+    Katoen, Principles of Model Checking, 2008, 10.6), so iterating from
+    below converges to either without any qualitative precomputation.
     """
-    prob0, prob1 = qualitative_sets(m, target, direction)
-    v = [1.0 if s in prob1 else 0.0 for s in range(len(m.states))]
-    unknown = sorted(set(range(len(m.states))) - prob0 - prob1, reverse=True)
-    rows = {s: [dist.floats() for dist in m.transitions[s].values()] for s in unknown}
+    targets = set(m.states_with(target))
+    v = [1.0 if s in targets else 0.0 for s in range(len(m.states))]
+    rows = {s: [dist.floats() for dist in m.transitions[s].values()]
+            for s in reversed(range(len(m.states))) if s not in targets and m.transitions[s]}
     best = max if direction == "max" else min
     for _ in range(100_000):
         rise = 0.0
-        for s in unknown:
-            new = best(sum(w * v[t] for t, w in pairs) for pairs in rows[s])
+        for s, row in rows.items():
+            new = best(sum(w * v[t] for t, w in pairs) for pairs in row)
             rise = max(rise, new - v[s])
             v[s] = new
         if rise < tol:

@@ -67,7 +67,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("field, value", [
         ("timing", "false"), ("a_interval", ["x", "1/4"]), ("a_interval", ["0"]),
-    ], ids=["timing", "a_interval-entry", "a_interval-length"])
+        ("a", ["0.1"]), ("p", ["1/2", "1/3"]), ("k1", 3),
+    ], ids=["timing", "a_interval-entry", "a_interval-length", "a-length", "p-sum",
+            "k1-not-explicit"])
     def test_sweep_spec_rejects_malformed_field(self, tmp_path, field, value):
         doc = {"attacker": "slice", "profile": "lt-linear", "n_from": 5,
                "n_to": 5, "m": 2, "a_interval": ["0", "0.25"]}

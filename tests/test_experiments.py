@@ -229,3 +229,20 @@ class TestOracleSolverAgreement:
                 value = float(enumerate_oracle(params_for(spec, row.n), attacker))
                 assert abs(row.pmax - value) <= 1e-9
                 assert abs(row.pmin - value) <= 1e-9
+
+
+def test_replication_script_specs_instantiate():
+    # The replication driver builds its specs in Python, past the config
+    # loader; instantiate every point so a spec check cannot reject them
+    # unnoticed. Nothing is solved.
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_replication.py"
+    loader = importlib.util.spec_from_file_location("run_replication", path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    specs = list(script.curves(100, 20))
+    assert specs
+    for _, spec in specs:
+        for n in spec.points():
+            assert params_for(spec, n).n == n

@@ -17,7 +17,7 @@ from dispersal_mc.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-MODEL_CONFIGS = ("slice_small", "provider_anchor", "capacity_abstraction")
+MODEL_CONFIGS = ("slice_small", "provider_anchor", "capacity_abstraction", "capacity_bound")
 
 CASES = {}
 for _config in MODEL_CONFIGS:

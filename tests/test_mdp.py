@@ -144,7 +144,7 @@ class TestExpand:
         mod = dataclasses.replace(counter_module(2),
                                   labels={"full": (("x", "=", 2),), "spare": (("x", "<", 0),)})
         m = expand(mod)
-        assert m.labels[m.index_of((2,))] == {"full"}
+        assert m.labels[m.states.index((2,))] == {"full"}
         assert m.ap == {"full", "spare"}
 
 
@@ -186,7 +186,7 @@ class TestComposeTemplates:
         prod = expand(compose_templates(coin_module("l", "x", p, action="busy"),
                                         coin_module("r", "y", q, action="busy"),
                                         shared=("busy",)))
-        dist = prod.transitions[prod.index_of((0, 0))]["busy"]
+        dist = prod.transitions[prod.states.index((0, 0))]["busy"]
         masses = {prod.states[t]: w for t, w in dist.items()}
         assert masses == {
             (1, 1): p * q,

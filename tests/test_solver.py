@@ -1,4 +1,4 @@
-"""Reachability: qualitative sets and the SCC engine in floats and in exact rationals."""
+"""Reachability: the SCC engine in floats and in exact rationals."""
 
 import dataclasses
 import itertools
@@ -10,9 +10,8 @@ import pytest
 from dispersal_mc import ModelParams, build_composed, uniform_probabilities
 from dispersal_mc.mdp import sccs
 from dispersal_mc.models import HACKED
-from dispersal_mc.solver import (QueryError, exact_reach, qualitative_sets,
-                                 solve_reach)
-from helpers import make_mdp, random_params, value_iteration
+from dispersal_mc.solver import QueryError, exact_reach, solve_reach
+from helpers import make_mdp, random_mdp, random_params, value_iteration
 
 F = Fraction
 
@@ -23,44 +22,14 @@ def slice_anchor_model():
     return build_composed(params, "slice")
 
 
-class TestQualitativeSets:
-    def test_labeled_initial_in_prob1_both_directions(self):
-        m = make_mdp({0: {"a": {1: 1}}, 1: {}}, labels={0: ("goal",)})
-        for direction in ("min", "max"):
-            prob0, prob1 = qualitative_sets(m, "goal", direction)
-            assert 0 in prob1
-            assert 0 not in prob0
-
-    def test_unreachable_target_all_prob0(self):
-        m = make_mdp({0: {"a": {0: 1}}, 1: {}}, labels={1: ("goal",)})
-        for direction in ("min", "max"):
-            prob0, _ = qualitative_sets(m, "goal", direction)
-            assert 0 in prob0
-
-    def test_zero_interception_initial_in_prob0(self):
-        params = ModelParams(n=2, m=1, c=2, k1=1, k2=1, a=(F(0),),
-                             x=(F(1), F(1)), p=(F(1),))
-        model = build_composed(params, "slice")
-        for direction in ("min", "max"):
-            prob0, _ = qualitative_sets(model, HACKED, direction)
-            assert 0 in prob0
-
+class TestValueIteration:
     def test_unknown_proposition_rejected(self):
         m = make_mdp({0: {}}, labels={0: ("goal",)})
         with pytest.raises(QueryError):
-            qualitative_sets(m, "nope", "max")
+            solve_reach(m, "nope")
+        with pytest.raises(QueryError):
+            exact_reach(m, "nope", "max")
 
-    def test_min_prob1_requires_all_schedulers(self):
-        # action "stay" lets a scheduler avoid the goal forever
-        m = make_mdp({0: {"go": {1: 1}, "stay": {0: 1}}, 1: {}},
-                     labels={1: ("goal",)})
-        _, prob1_min = qualitative_sets(m, "goal", "min")
-        _, prob1_max = qualitative_sets(m, "goal", "max")
-        assert 0 not in prob1_min
-        assert 0 in prob1_max
-
-
-class TestValueIteration:
     def test_self_loop_target(self):
         m = make_mdp({0: {"a": {0: 1}}}, labels={0: ("goal",)})
         res = solve_reach(m, "goal")
@@ -132,6 +101,26 @@ class TestExactEngine:
                     assert abs(value - exact) <= 1e-12
                     assert abs(value - value_iteration(model, HACKED, direction)) <= 1e-9
         assert cyclic >= 4  # tight capacity makes retry loops
+
+    def test_agrees_with_value_iteration_on_random_mdps(self):
+        # Unlike the builders' models, these have SCCs of up to 5 states with
+        # two actions per state, so min and max differ and the end-component
+        # handling of both directions is exercised.
+        rng = random.Random(31)
+        cyclic = large = 0
+        for _ in range(300):
+            m = random_mdp(rng)
+            sizes = [len(c) for c in sccs(m)]
+            cyclic += max(sizes) > 1
+            large += max(sizes) > 3
+            res = solve_reach(m, "g")
+            for direction, value in (("min", res.pmin), ("max", res.pmax)):
+                exact = exact_reach(m, "g", direction)
+                assert abs(value - float(exact)) <= 1e-12
+                reference = value_iteration(m, "g", direction)
+                assert abs(value - reference) <= 1e-9
+                assert abs(float(exact) - reference) <= 1e-9
+        assert cyclic >= 100 and large >= 20
 
 
 class TestEndComponents:
