@@ -2,8 +2,10 @@
 decisions, and machine checks of the two model-shrinking abstractions
 (channel grouping and capacity-counter elimination) on concrete instances.
 
-All comparisons use exact rational masses; floating arithmetic never enters a
-bisimulation decision.
+Coarsest partitions come from worklist refinement (Valmari & Franceschinis,
+TACAS 2010), which re-signs only predecessors of states that changed block;
+blocks are numbered by smallest member. Signatures hold exact rational
+masses; floating arithmetic never enters a bisimulation decision.
 """
 
 from __future__ import annotations
@@ -42,38 +44,67 @@ class Partition:
         return self.block_of[s] == self.block_of[t]
 
 
-def _signature(row, block_of):
-    """Canonical per-state refinement key: action -> block-mass vector."""
+def _signature(row, block_of, offset=0):
+    """Canonical refinement key of a row whose targets sit ``offset`` further
+    on in ``block_of``: action -> block-mass vector."""
     sig = []
     for action in sorted(row):
         acc: dict[int, Fraction] = {}
         for t, w in row[action].items():
-            b = block_of[t]
-            acc[b] = acc.get(b, Fraction(0)) + w
+            b = block_of[t + offset]
+            acc[b] = acc[b] + w if b in acc else w
         sig.append((action, tuple(sorted(acc.items()))))
     return tuple(sig)
 
 
-def _refine(labels: Sequence[frozenset], rows) -> Partition:
-    """Signature-based partition refinement from the label-split partition.
+def _refine(models: Sequence[Mdp]) -> Partition:
+    """Coarsest bisimulation of the disjoint union of ``models``.
 
-    Deterministic: block ids are assigned by sorting the (old block,
-    signature) keys, so the result does not depend on state ordering.
+    Worklist refinement from the label partition. Every block keeps the
+    signature its members share. A round re-signs only the predecessors of
+    states that moved to a fresh block id, as no other signature can have
+    changed, and splits their blocks: the untouched members (if none, the
+    largest group) keep the old id, each other group gets a fresh one. It
+    stops when no state moves. Blocks are numbered by smallest member.
     """
-    n = len(labels)
-    label_keys = sorted({tuple(sorted(lab)) for lab in labels})
-    key_id = {k: i for i, k in enumerate(label_keys)}
-    block_of = [key_id[tuple(sorted(lab))] for lab in labels]
-    num = len(label_keys)
-    while True:
-        keys = [(block_of[s], _signature(rows[s], block_of)) for s in range(n)]
-        distinct = sorted(set(keys))
-        if len(distinct) == num:
-            break
-        new_id = {k: i for i, k in enumerate(distinct)}
-        block_of = [new_id[k] for k in keys]
-        num = len(distinct)
-    blocks: list[list[int]] = [[] for _ in range(num)]
+    rows, labels = [], []
+    for m in models:
+        rows += [(row, len(labels)) for row in m.transitions]
+        labels += m.labels
+    preds: list[list[int]] = [[] for _ in rows]
+    for s, (row, off) in enumerate(rows):
+        for dist in row.values():
+            for t, _ in dist.items():
+                preds[t + off].append(s)
+    label_id: dict = {}
+    block_of = [label_id.setdefault(lab, len(label_id)) for lab in labels]
+    size = [block_of.count(b) for b in range(len(label_id))]
+    block_sig: list = [None] * len(size)
+    dirty = range(len(rows))
+    while dirty:
+        touched: dict[int, dict] = {}
+        for s in dirty:
+            row, off = rows[s]
+            groups = touched.setdefault(block_of[s], {})
+            groups.setdefault(_signature(row, block_of, off), []).append(s)
+        moved = []
+        for b, groups in touched.items():
+            rest = size[b] - sum(map(len, groups.values()))
+            keep = block_sig[b] if rest else max(groups, key=lambda k: len(groups[k]))
+            block_sig[b] = keep
+            for sig, group in groups.items():
+                if sig == keep:
+                    continue
+                size[b] -= len(group)
+                for s in group:
+                    block_of[s] = len(size)
+                size.append(len(group))
+                block_sig.append(sig)
+                moved += group
+        dirty = {u for t in moved for u in preds[t]}
+    final: dict[int, int] = {}
+    block_of = [final.setdefault(b, len(final)) for b in block_of]
+    blocks: list[list[int]] = [[] for _ in final]
     for s, b in enumerate(block_of):
         blocks[b].append(s)
     return Partition(tuple(block_of), tuple(tuple(b) for b in blocks))
@@ -81,7 +112,7 @@ def _refine(labels: Sequence[frozenset], rows) -> Partition:
 
 def coarsest_bisimulation(m: Mdp) -> Partition:
     """The coarsest probabilistic bisimulation of a single MDP."""
-    return _refine(m.labels, m.transitions)
+    return _refine([m])
 
 
 def quotient(m: Mdp, partition: Partition) -> Mdp:
@@ -133,16 +164,6 @@ class BisimResult:
         return self.equivalent
 
 
-def _union_view(m1: Mdp, m2: Mdp):
-    offset = len(m1.states)
-    labels = list(m1.labels) + list(m2.labels)
-    rows = list(m1.transitions)
-    for row in m2.transitions:
-        rows.append({action: dist.remap(lambda t: t + offset)
-                     for action, dist in row.items()})
-    return labels, rows, offset
-
-
 def bisimilar(m1: Mdp, m2: Mdp) -> BisimResult:
     """Decide whether two MDPs are probabilistically bisimilar.
 
@@ -152,8 +173,8 @@ def bisimilar(m1: Mdp, m2: Mdp) -> BisimResult:
     if m1.ap != m2.ap:
         return BisimResult(False, f"proposition alphabets differ: "
                                   f"{sorted(m1.ap)} vs {sorted(m2.ap)}", 0)
-    labels, rows, offset = _union_view(m1, m2)
-    part = _refine(labels, rows)
+    offset = len(m1.states)
+    part = _refine([m1, m2])
     mass1: dict[int, Fraction] = {}
     mass2: dict[int, Fraction] = {}
     for s, w in m1.initial.items():

@@ -195,12 +195,12 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
             kwargs["p"] = _probability_list(doc, "p")
     if "c" in doc:
         kwargs["c"] = _int(doc, "c")
-    if "ratio" in doc:
-        kwargs["ratio"] = _probability(doc, "ratio")
-    if "k1_ratio" in doc:
-        kwargs["k1_ratio"] = _probability(doc, "k1_ratio")
-    if "k2_ratio" in doc:
-        kwargs["k2_ratio"] = _probability(doc, "k2_ratio")
+    for key, reader in (("ratio", "rs"), ("k1_ratio", "lt-linear"), ("k2_ratio", "lt-linear")):
+        if key in doc:
+            if kwargs["profile"] != reader:
+                raise ConfigError(f"field {key!r}: only the {reader} profile reads it, "
+                                  f"not {kwargs['profile']!r}")
+            kwargs[key] = _probability(doc, key)
     for key in ("k1", "k2"):
         if key in doc:
             kwargs[key] = _int(doc, key)

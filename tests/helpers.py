@@ -7,6 +7,7 @@ on plain tuples, sharing no code with the template engine they check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -198,6 +199,47 @@ def is_bisimulation_partition(m: Mdp, blocks) -> bool:
             if block_masses(m, s, block_of) != rep_sig:
                 return False
     return True
+
+
+def refine_by_rounds(*models: Mdp) -> tuple[int, ...]:
+    """Block ids of the coarsest bisimulation of the disjoint union of
+    ``models``, by rounds of signature refinement.
+
+    The reference for the engine's worklist refinement, sharing none of its
+    code. Every round re-signs every state by its block and its per-action
+    block-mass vectors, and renumbers the blocks by sorting the distinct
+    (old block, signature) keys; rounds start from the label partition and
+    stop when the block count stays put. Masses are exact integer multiples
+    of one common denominator.
+    """
+    scale = math.lcm(*(w.denominator for m in models for row in m.transitions
+                       for dist in row.values() for _, w in dist.items()))
+    labels, rows = [], []
+    for m in models:
+        offset = len(rows)
+        labels += m.labels
+        rows += [{action: [(t + offset, int(w * scale)) for t, w in dist.items()]
+                  for action, dist in row.items()} for row in m.transitions]
+    label_keys = sorted({tuple(sorted(lab)) for lab in labels})
+    key_id = {k: i for i, k in enumerate(label_keys)}
+    block_of = [key_id[tuple(sorted(lab))] for lab in labels]
+    num = len(label_keys)
+    while True:
+        keys = []
+        for s, row in enumerate(rows):
+            sig = []
+            for action in sorted(row):
+                acc: dict[int, int] = {}
+                for t, k in row[action]:
+                    acc[block_of[t]] = acc.get(block_of[t], 0) + k
+                sig.append((action, tuple(sorted(acc.items()))))
+            keys.append((block_of[s], tuple(sig)))
+        distinct = sorted(set(keys))
+        if len(distinct) == num:
+            return tuple(block_of)
+        new_id = {k: i for i, k in enumerate(distinct)}
+        block_of = [new_id[k] for k in keys]
+        num = len(distinct)
 
 
 def coarsest_by_bruteforce(m: Mdp):

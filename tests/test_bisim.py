@@ -13,11 +13,19 @@ from dispersal_mc.bisim import (NotBisimulationError, Partition, bisimilar,
                                 coarsest_bisimulation, quotient,
                                 verify_capacity_abstraction,
                                 verify_channel_cutoff, witness_contained)
-from dispersal_mc.models import HACKED, AbstractionPreconditionError
+from dispersal_mc.mdp import sccs
+from dispersal_mc.models import HACKED, AbstractionPreconditionError, expand_channels
 from dispersal_mc.solver import solve_reach
-from helpers import coarsest_by_bruteforce, make_mdp, random_mdp
+from helpers import coarsest_by_bruteforce, make_mdp, random_mdp, refine_by_rounds
 
 F = Fraction
+A3 = (F(1, 10), F(1, 5), F(3, 10))
+
+
+def first_seen(block_of):
+    """Block ids renumbered by first appearance, i.e. by smallest member."""
+    ids: dict = {}
+    return tuple(ids.setdefault(b, len(ids)) for b in block_of)
 
 
 class TestCoarsestBisimulation:
@@ -57,6 +65,26 @@ class TestCoarsestBisimulation:
             for s in range(len(m.states)):
                 for t in range(len(m.states)):
                     assert part.same_block(s, t) == (brute_id[s] == brute_id[t])
+
+    def test_acyclic_state_and_self_loop_share_a_block(self):
+        # state 0 reaches g in one step, state 1 may loop first: numbering
+        # blocks by SCC rank would split them
+        m = make_mdp({0: {"a": {1: F(1, 2), 2: F(1, 2)}},
+                      1: {"a": {1: F(1, 2), 2: F(1, 2)}},
+                      2: {}},
+                     labels={2: ("g",)})
+        assert coarsest_bisimulation(m).block_of == (0, 0, 1)
+
+    def test_matches_round_reference_on_random_models(self):
+        rng = random.Random(43)
+        big_cycles = 0
+        for i in range(320):
+            m = random_mdp(rng, max_states=(5, 9, 14)[i % 3],
+                           props=("g", "h") if i % 2 else ("g",))
+            part = coarsest_bisimulation(m)
+            assert part.block_of == first_seen(refine_by_rounds(m))
+            big_cycles += any(len(c) > 3 for c in sccs(m))
+        assert big_cycles >= 50
 
     def test_idempotent(self):
         rng = random.Random(37)
@@ -189,6 +217,15 @@ class TestCapacityAbstraction:
         with pytest.raises(AbstractionPreconditionError):
             verify_capacity_abstraction(params)
 
+    def test_sweep_size_instance_verified(self):
+        params = ModelParams(n=20, m=3, c=20, k1=12, k2=16, a=A3,
+                             x=lt_linear_profile(12, 16, 20),
+                             p=uniform_probabilities(3))
+        report = verify_capacity_abstraction(params)
+        assert report.equivalent
+        assert report.states == (57_228, 5_788)
+        assert report.blocks == 656
+
     def test_minimal_instance(self):
         params = ModelParams(n=1, m=1, c=1, k1=1, k2=1, a=(F(1, 2),),
                              x=(F(1),), p=(F(1),))
@@ -211,6 +248,37 @@ class TestCapacityAbstraction:
             a, b = solve_reach(full, HACKED), solve_reach(reduced, HACKED)
             assert b.pmax == pytest.approx(a.pmax, abs=1e-9)
             assert b.pmin == pytest.approx(a.pmin, abs=1e-9)
+
+
+class TestRoundReference:
+    """The verify-bisim benchmark unions against the round-based reference."""
+
+    def test_capacity_union(self):
+        params = ModelParams(n=14, m=3, c=14, k1=8, k2=11, a=A3,
+                             x=lt_linear_profile(8, 11, 14),
+                             p=uniform_probabilities(3))
+        full = build_composed(params, "provider", reduced=False)
+        reduced = build_composed(params, "provider", reduced=True)
+        self._check(full, reduced, 377)
+
+    def test_channel_union(self):
+        f = Distribution.uniform(2)
+        big = [Channel(2, Distribution.uniform(2), F(1, 10)),
+               Channel(3, Distribution.uniform(3), F(1, 5))]
+        small = [Channel(1, Distribution.uniform(1), ch.a) for ch in big]
+        x = lt_linear_profile(3, 4, 6)
+        models = [build_composed(ModelParams(n=6, m=len(p), c=6, k1=3, k2=4,
+                                             a=a, x=x, p=p), "slice")
+                  for p, a in (expand_channels(f, small), expand_channels(f, big))]
+        self._check(*models, 65)
+
+    @staticmethod
+    def _check(m1, m2, blocks):
+        res = bisimilar(m1, m2)
+        ref = refine_by_rounds(m1, m2)
+        assert res.equivalent
+        assert res.partition.block_of == first_seen(ref)
+        assert res.blocks == len(set(ref)) == blocks
 
 
 class TestWitnessContainment:

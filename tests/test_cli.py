@@ -65,13 +65,16 @@ class TestConfigParsing:
         assert params.k1 == params.k2 == 7
         assert params.c == 10
 
-    @pytest.mark.parametrize("field, value", [
-        ("timing", "false"), ("a_interval", ["x", "1/4"]), ("a_interval", ["0"]),
-        ("a", ["0.1"]), ("p", ["1/2", "1/3"]), ("k1", 3),
+    @pytest.mark.parametrize("field, value, profile", [
+        ("timing", "false", "lt-linear"), ("a_interval", ["x", "1/4"], "lt-linear"),
+        ("a_interval", ["0"], "lt-linear"), ("a", ["0.1"], "lt-linear"),
+        ("p", ["1/2", "1/3"], "lt-linear"), ("k1", 3, "lt-linear"),
+        ("ratio", "0.5", "lt-linear"), ("k1_ratio", "0.2", "rs"), ("k2_ratio", "0.9", "rs"),
     ], ids=["timing", "a_interval-entry", "a_interval-length", "a-length", "p-sum",
-            "k1-not-explicit"])
-    def test_sweep_spec_rejects_malformed_field(self, tmp_path, field, value):
-        doc = {"attacker": "slice", "profile": "lt-linear", "n_from": 5,
+            "k1-not-explicit", "ratio-not-rs", "k1_ratio-not-lt-linear",
+            "k2_ratio-not-lt-linear"])
+    def test_sweep_spec_rejects_malformed_field(self, tmp_path, field, value, profile):
+        doc = {"attacker": "slice", "profile": profile, "n_from": 5,
                "n_to": 5, "m": 2, "a_interval": ["0", "0.25"]}
         doc[field] = value
         with pytest.raises(ConfigError, match=f"field '{field}'"):
