@@ -30,6 +30,10 @@ CASES["verify-thm3-capacity_abstraction.txt"] = [
     "verify-thm3", "--config", "configs/capacity_abstraction.json"]
 CASES["verify-thm2-channels_cutoff.txt"] = [
     "verify-thm2", "--config", "configs/channels_cutoff.json"]
+CASES["verify-thm3-capacity_abstraction.json"] = [
+    "verify-thm3", "--config", "configs/capacity_abstraction.json", "--format", "json"]
+CASES["verify-thm2-channels_cutoff.json"] = [
+    "verify-thm2", "--config", "configs/channels_cutoff.json", "--format", "json"]
 CASES["sweep-sweep_lt_low.csv"] = ["sweep", "--spec", "configs/sweep_lt_low.json"]
 
 
