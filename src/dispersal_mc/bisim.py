@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .mdp import Distribution, Mdp
 from .models import (AbstractionPreconditionError, Channel, ModelParams,
@@ -158,10 +158,6 @@ class BisimResult:
     reason: str
     blocks: int
     partition: Partition | None = None
-    offset: int = 0
-
-    def __bool__(self) -> bool:
-        return self.equivalent
 
 
 def bisimilar(m1: Mdp, m2: Mdp) -> BisimResult:
@@ -175,26 +171,19 @@ def bisimilar(m1: Mdp, m2: Mdp) -> BisimResult:
                                   f"{sorted(m1.ap)} vs {sorted(m2.ap)}", 0)
     offset = len(m1.states)
     part = _refine([m1, m2])
-    mass1: dict[int, Fraction] = {}
-    mass2: dict[int, Fraction] = {}
-    for s, w in m1.initial.items():
-        b = part.block_of[s]
-        mass1[b] = mass1.get(b, Fraction(0)) + w
-    for s, w in m2.initial.items():
-        b = part.block_of[s + offset]
-        mass2[b] = mass2.get(b, Fraction(0)) + w
-    for b in set(mass1) | set(mass2):
-        w1 = mass1.get(b, Fraction(0))
-        w2 = mass2.get(b, Fraction(0))
-        if w1 != w2:
-            return BisimResult(
-                False,
-                f"initial mass differs on block {b}: {w1} vs {w2}",
-                part.num_blocks, part, offset)
-    return BisimResult(True, "", part.num_blocks, part, offset)
+    block_of = part.block_of
+    init1 = m1.initial.remap(lambda s: block_of[s])
+    init2 = m2.initial.remap(lambda s: block_of[s + offset])
+    if init1 != init2:
+        w1, w2 = dict(init1.items()), dict(init2.items())
+        b = min(b for b in w1.keys() | w2.keys() if w1.get(b) != w2.get(b))
+        return BisimResult(
+            False, f"initial mass differs on block {b}: {w1.get(b, 0)} vs {w2.get(b, 0)}",
+            part.num_blocks, part)
+    return BisimResult(True, "", part.num_blocks, part)
 
 
-def witness_contained(part: Partition, keys: Sequence) -> tuple[bool, tuple[int, int] | None]:
+def witness_contained(part: Partition, keys: Iterable) -> tuple[bool, tuple[int, int] | None]:
     """Is the equivalence induced by equal witness keys inside the partition?
 
     Returns the first offending state pair when it is not.
@@ -244,6 +233,57 @@ def _probe(model: Mdp) -> dict:
     return {"pmin": res.pmin, "pmax": res.pmax}
 
 
+def _verify(claim: str, sides: dict[str, Mdp],
+            witness: dict[str, Callable[[tuple[int, ...]], Hashable]]) -> AbstractionReport:
+    """Decide bisimilarity of the two models in ``sides`` (name -> model) and
+    check that states with equal witness keys share a block.
+
+    ``witness`` maps each side name to the function that reads a state's key
+    off its state tuple. Keys are computed only after refinement has returned,
+    so they never add to its memory peak.
+    """
+    (_, m1), (_, m2) = sides.items()
+    res = bisimilar(m1, m2)
+    contained, pair = False, None
+    if res.partition is not None:
+        contained, pair = witness_contained(
+            res.partition,
+            (witness[side](s) for side, m in sides.items() for s in m.states))
+    return AbstractionReport(
+        claim=claim, equivalent=res.equivalent and contained, bisimilar=res.equivalent,
+        witness_contained=contained, reason=res.reason, blocks=res.blocks,
+        states=(m1.state_count, m2.state_count),
+        transitions=(m1.transition_count, m2.transition_count),
+        probes={side: _probe(m) for side, m in sides.items()}, counterexample=pair)
+
+
+def _projection(model: Mdp, names: Sequence[str]) -> Callable[[tuple[int, ...]], tuple]:
+    """Read the values of ``names``, in that order, off a state tuple of ``model``."""
+    positions = [model.variables.index(v) for v in names]
+    return lambda s: tuple(s[i] for i in positions)
+
+
+def _channel_witness(model: Mdp, sizes: Sequence[int]) -> Callable[[tuple[int, ...]], tuple]:
+    """Witness key of a channel system whose channels hold ``sizes`` servers:
+    the shared variables, the recipient's channel (0 = none) and each
+    channel's occupancy sum."""
+    channel_of = [0]
+    for idx, size in enumerate(sizes, start=1):
+        channel_of.extend([idx] * size)
+    shared = _projection(model, ("pc_c", "ctr_c", "pc_a", "ctr_a"))
+    recipient = model.variables.index("s_c")
+    counters = [(channel_of[j] - 1, model.variables.index(f"ctr_c_{j}"))
+                for j in range(1, len(channel_of))]
+
+    def key(s: tuple[int, ...]) -> tuple:
+        sums = [0] * len(sizes)
+        for ch, i in counters:
+            sums[ch] += s[i]
+        return (*shared(s), channel_of[s[recipient]], tuple(sums))
+
+    return key
+
+
 def _channel_params(f: Distribution, channels: Sequence[Channel], n: int,
                     k1: int, k2: int, x, c: int) -> ModelParams:
     p, a = expand_channels(f, channels)
@@ -273,46 +313,12 @@ def verify_channel_cutoff(f: Distribution, small: Sequence[Channel],
             f"channel grouping needs c >= n, got c={c} n={n}")
     x = tuple(x) if x is not None else lt_linear_profile(k1, k2, n)
 
-    params_small = _channel_params(f, small, n, k1, k2, x, c)
-    params_big = _channel_params(f, big, n, k1, k2, x, c)
-    m_small = build_composed(params_small, "slice")
-    m_big = build_composed(params_big, "slice")
-    res = bisimilar(m_small, m_big)
-
-    # channel index of each server in the expanded system; channel 0 = none
-    channel_of = [0]
-    for idx, ch in enumerate(big, start=1):
-        channel_of.extend([idx] * ch.size)
-
-    def key_small(vals: dict) -> tuple:
-        sums = tuple(vals[f"ctr_c_{i}"] for i in range(1, len(small) + 1))
-        return (vals["pc_c"], vals["ctr_c"], vals["pc_a"], vals["ctr_a"],
-                vals["s_c"], sums)
-
-    def key_big(vals: dict) -> tuple:
-        sums = [0] * len(big)
-        for j in range(1, params_big.m + 1):
-            sums[channel_of[j] - 1] += vals[f"ctr_c_{j}"]
-        return (vals["pc_c"], vals["ctr_c"], vals["pc_a"], vals["ctr_a"],
-                channel_of[vals["s_c"]], tuple(sums))
-
-    keys = [key_small(m_small.valuation(s)) for s in range(len(m_small.states))]
-    keys += [key_big(m_big.valuation(s)) for s in range(len(m_big.states))]
-    contained, pair = (witness_contained(res.partition, keys)
-                       if res.partition is not None else (False, None))
-
-    return AbstractionReport(
-        claim="channel-cutoff",
-        equivalent=res.equivalent and contained,
-        bisimilar=res.equivalent,
-        witness_contained=contained,
-        reason=res.reason,
-        blocks=res.blocks,
-        states=(m_small.state_count, m_big.state_count),
-        transitions=(m_small.transition_count, m_big.transition_count),
-        probes={"small": _probe(m_small), "big": _probe(m_big)},
-        counterexample=pair,
-    )
+    systems = {"small": small, "big": big}
+    sides = {name: build_composed(_channel_params(f, chans, n, k1, k2, x, c), "slice")
+             for name, chans in systems.items()}
+    witness = {name: _channel_witness(sides[name], [ch.size for ch in chans])
+               for name, chans in systems.items()}
+    return _verify("channel-cutoff", sides, witness)
 
 
 def verify_capacity_abstraction(params: ModelParams) -> AbstractionReport:
@@ -326,30 +332,8 @@ def verify_capacity_abstraction(params: ModelParams) -> AbstractionReport:
     if params.c < params.n:
         raise AbstractionPreconditionError(
             f"capacity abstraction needs c >= n, got c={params.c} n={params.n}")
-    m_full = build_composed(params, "provider", reduced=False)
-    m_red = build_composed(params, "provider", reduced=True)
-    res = bisimilar(m_full, m_red)
-
-    shared = tuple(m_red.variables)
-
-    def key(model: Mdp, s: int) -> tuple:
-        vals = model.valuation(s)
-        return tuple(vals[v] for v in shared)
-
-    keys = [key(m_full, s) for s in range(len(m_full.states))]
-    keys += [key(m_red, s) for s in range(len(m_red.states))]
-    contained, pair = (witness_contained(res.partition, keys)
-                       if res.partition is not None else (False, None))
-
-    return AbstractionReport(
-        claim="capacity-abstraction",
-        equivalent=res.equivalent and contained,
-        bisimilar=res.equivalent,
-        witness_contained=contained,
-        reason=res.reason,
-        blocks=res.blocks,
-        states=(m_full.state_count, m_red.state_count),
-        transitions=(m_full.transition_count, m_red.transition_count),
-        probes={"full": _probe(m_full), "reduced": _probe(m_red)},
-        counterexample=pair,
-    )
+    sides = {name: build_composed(params, "provider", reduced=name == "reduced")
+             for name in ("full", "reduced")}
+    shared = sides["reduced"].variables
+    return _verify("capacity-abstraction", sides,
+                   {name: _projection(m, shared) for name, m in sides.items()})

@@ -65,6 +65,15 @@ def _require(doc: dict, *keys: str) -> None:
         raise ConfigError(f"missing required field(s): {', '.join(missing)}")
 
 
+def _refuse_unread(doc: dict, read, what: str) -> None:
+    """Refuse every field outside ``read``, so that a misspelt or misplaced
+    field is an error rather than silently ignored."""
+    for key in doc:
+        if key not in read:
+            raise ConfigError(f"field {key!r}: not read by this {what}; "
+                              f"it reads {', '.join(sorted(read))}")
+
+
 def parse_channels(doc: dict) -> tuple[Distribution, list[Channel]]:
     """Read the ``channels`` list and the channel-choice distribution ``f``."""
     raw = doc["channels"]
@@ -74,6 +83,7 @@ def parse_channels(doc: dict) -> tuple[Distribution, list[Channel]]:
     for pos, entry in enumerate(raw, start=1):
         if not isinstance(entry, dict):
             raise ConfigError(f"field 'channels'[{pos}]: expected an object")
+        _refuse_unread(entry, ("size", "g", "a"), f"'channels'[{pos}] entry")
         try:
             size = _int(entry, "size")
             if "g" in entry:
@@ -109,7 +119,16 @@ def channel_cutoff_from_dict(doc: dict) -> tuple[Distribution, list[Channel], di
     fields = {key: _int(doc, key) for key in ("n", "k1", "k2")}
     fields["x"] = _probability_list(doc, "x") if "x" in doc else None
     fields["c"] = _int(doc, "c") if "c" in doc else None
+    _refuse_unread(doc, ("channels", "f", *fields), "verify-thm2 config")
     return f, channels, fields
+
+
+# The threshold fields each profile reads, in a model config and in a sweep spec.
+_PROFILE_FIELDS = {"rs": ("ratio", "k1", "k2"), "lt-linear": ("k1", "k2"),
+                   "explicit": ("k1", "k2", "x")}
+_SWEEP_PROFILE_FIELDS = {"rs": {"ratio": _probability},
+                         "lt-linear": {"k1_ratio": _probability, "k2_ratio": _probability},
+                         "explicit": {"k1": _int, "k2": _int, "x": _probability_list}}
 
 
 def _thresholds(doc: dict, n: int) -> tuple[int, int, tuple[Fraction, ...]]:
@@ -153,6 +172,10 @@ def model_params_from_dict(doc: dict) -> ModelParams:
         a = _probability_list(doc, "a")
         p = _probability_list(doc, "p") if "p" in doc else uniform_probabilities(m)
     c = _int(doc, "c") if "c" in doc else n
+    profile = doc.get("profile", "explicit")
+    routing = ("channels", "f") if "channels" in doc else ("a", "p")
+    _refuse_unread(doc, ("n", "m", "c", "profile", *_PROFILE_FIELDS[profile], *routing),
+                   f"{profile} model config")
     try:
         return ModelParams(n=n, m=m, c=c, k1=k1, k2=k2, a=a, x=x, p=p)
     except ParameterError as exc:
@@ -180,6 +203,7 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
     if "channels" in doc:
         p, a = _channel_vectors(doc)
         kwargs.update(m=len(p), a=a, p=p)
+        routing = ("channels", "f")
     else:
         _require(doc, "m")
         kwargs["m"] = _int(doc, "m")
@@ -193,27 +217,19 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
             raise ConfigError("missing required field(s): a or a_interval")
         if "p" in doc:
             kwargs["p"] = _probability_list(doc, "p")
-    if "c" in doc:
-        kwargs["c"] = _int(doc, "c")
-    for key, reader in (("ratio", "rs"), ("k1_ratio", "lt-linear"), ("k2_ratio", "lt-linear")):
+        routing = ("m", "p", "a" if "a" in doc else "a_interval")
+    readers = {**_SWEEP_PROFILE_FIELDS.get(kwargs["profile"], {}),
+               "c": _int, "samples": _int, "seed": _int}
+    for key, reader in readers.items():
         if key in doc:
-            if kwargs["profile"] != reader:
-                raise ConfigError(f"field {key!r}: only the {reader} profile reads it, "
-                                  f"not {kwargs['profile']!r}")
-            kwargs[key] = _probability(doc, key)
-    for key in ("k1", "k2"):
-        if key in doc:
-            kwargs[key] = _int(doc, key)
-    if "x" in doc:
-        kwargs["x"] = _probability_list(doc, "x")
-    if "samples" in doc:
-        kwargs["samples"] = _int(doc, "samples")
-    if "seed" in doc:
-        kwargs["seed"] = _int(doc, "seed")
+            kwargs[key] = reader(doc, key)
     try:
-        return SweepSpec(**kwargs)
+        spec = SweepSpec(**kwargs)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    _refuse_unread(doc, ("attacker", "profile", "n_from", "n_to", "n_step", "solver",
+                         "timing", *readers, *routing), f"{spec.profile} sweep spec")
+    return spec
 
 
 def load_sweep_spec(path) -> SweepSpec:

@@ -83,14 +83,8 @@ class SweepSpec:
         if self.p is not None and sum(self.p, Fraction(0)) != 1:
             raise ParameterError(f"field 'p': routing probabilities sum to "
                                  f"{sum(self.p, Fraction(0))}, not 1")
-        if self.profile == "explicit":
-            if self.n_from != self.n_to:
-                raise ParameterError("explicit profiles only support single-point sweeps")
-        else:
-            for name in ("k1", "k2", "x"):
-                if getattr(self, name) is not None:
-                    raise ParameterError(f"field {name!r}: only the explicit profile "
-                                         f"reads it, not {self.profile!r}")
+        if self.profile == "explicit" and self.n_from != self.n_to:
+            raise ParameterError("explicit profiles only support single-point sweeps")
 
     def points(self) -> list[int]:
         return list(range(self.n_from, self.n_to + 1, self.n_step))

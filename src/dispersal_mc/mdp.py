@@ -34,10 +34,11 @@ class ExplorationError(ModelError):
 class Distribution:
     """Finitely supported probability mass over integer-indexed outcomes.
 
-    Masses are exact rationals and zero entries are dropped. The total is not
-    forced to 1 at construction so that diagnostics can inspect broken
-    distributions; use :meth:`is_probability` where it matters. Masses are
-    read through :meth:`items`, sorted by outcome.
+    Masses are exact rationals; zero entries are dropped and repeated
+    outcomes merged, so this is the one place where masses are summed. The
+    total is not forced to 1 at construction so that diagnostics can inspect
+    broken distributions; use :meth:`is_probability` where it matters. Masses
+    are read through :meth:`items`, sorted by outcome.
     """
 
     __slots__ = ("_items",)
@@ -47,11 +48,11 @@ class Distribution:
         acc: dict[int, Fraction] = {}
         for key, mass in pairs:
             mass = mass if isinstance(mass, Fraction) else Fraction(mass)
-            if mass < 0:
+            if mass.numerator < 0:
                 raise ValueError(f"negative mass {mass} for outcome {key}")
-            if mass == 0:
+            if not mass.numerator:
                 continue
-            acc[key] = acc.get(key, Fraction(0)) + mass
+            acc[key] = acc[key] + mass if key in acc else mass
         self._items = tuple(sorted(acc.items()))
 
     @classmethod
@@ -253,9 +254,6 @@ class Mdp:
         """Number of probabilistic edges (support entries over all choices)."""
         return sum(len(d.items()) for row in self.transitions for d in row.values())
 
-    def valuation(self, i: int) -> dict[str, int]:
-        return dict(zip(self.variables, self.states[i]))
-
     def states_with(self, prop: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if prop in lab]
 
@@ -374,6 +372,8 @@ def expand(module: TemplateModule) -> Mdp:
     ranges = [(d.low, d.high) for d in module.variables]
     compiled = []
     for t in module.templates:
+        # Distribution drops zero masses too, but a successor reached only
+        # with mass 0 must not be explored, so zero branches go here.
         branches = tuple(
             (b.weight, tuple((pos[var], op == "+", k) for var, op, k in b.update))
             for b in t.branches if b.weight != 0)
@@ -398,7 +398,7 @@ def expand(module: TemplateModule) -> Mdp:
                     raise ModelError(
                         f"module {module.name}: two templates for action {action!r} "
                         f"enabled in state {s}")
-                masses: dict[int, Fraction] = {}
+                pairs = []
                 for weight, update in branches:
                     nv = list(s)
                     for p, add, k in update:
@@ -418,8 +418,8 @@ def expand(module: TemplateModule) -> Mdp:
                         index[key] = j
                         states.append(key)
                         queue.append(j)
-                    masses[j] = masses.get(j, Fraction(0)) + weight
-                row[action] = Distribution(masses)
+                    pairs.append((j, weight))
+                row[action] = Distribution(pairs)
         transitions.append(row)
 
     label_tests = [(prop, _intervals(g, pos, ranges)) for prop, g in module.labels.items()]

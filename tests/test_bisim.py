@@ -9,7 +9,7 @@ import pytest
 from dispersal_mc import (Channel, Distribution, ModelParams,
                           build_composed, lt_linear_profile,
                           uniform_probabilities)
-from dispersal_mc.bisim import (NotBisimulationError, Partition, bisimilar,
+from dispersal_mc.bisim import (NotBisimulationError, Partition, _verify, bisimilar,
                                 coarsest_bisimulation, quotient,
                                 verify_capacity_abstraction,
                                 verify_channel_cutoff, witness_contained)
@@ -146,6 +146,14 @@ class TestBisimilar:
         assert not res.equivalent
         assert "alphabet" in res.reason
 
+    def test_initial_mass_reason_names_smallest_block(self):
+        def model(initial):
+            return make_mdp({}, labels={0: ("g",), 1: ("h",)}, ap=("g", "h"),
+                            initial=initial, num_states=3)
+        res = bisimilar(model({0: F(1, 2), 2: F(1, 2)}), model({1: F(1, 2), 2: F(1, 2)}))
+        assert not res.equivalent
+        assert res.reason == "initial mass differs on block 0: 1/2 vs 0"
+
     def test_bisimilar_models_share_probabilities(self):
         # one channel of three servers vs its single-server reference
         f = Distribution.point(1)
@@ -186,6 +194,16 @@ class TestChannelCutoff:
         report = verify_channel_cutoff(f, one, list(one), n=2, k1=1, k2=2,
                                        x=(F(1, 2), F(1)))
         assert report.equivalent
+
+    def test_larger_instance_verified(self):
+        f = Distribution.uniform(2)
+        big = [Channel(2, Distribution.uniform(2), F(1, 10)),
+               Channel(3, Distribution.uniform(3), F(1, 5))]
+        small = [Channel(1, Distribution.uniform(1), ch.a) for ch in big]
+        report = verify_channel_cutoff(f, small, big, n=10, k1=5, k2=6)
+        assert report.equivalent
+        assert report.states == (1_425, 121_842)
+        assert report.blocks == 135
 
     def test_nonuniform_group_routing(self):
         f = Distribution({1: F(1, 3), 2: F(2, 3)})
@@ -288,3 +306,13 @@ class TestWitnessContainment:
         assert not ok and pair == (0, 1)
         ok, pair = witness_contained(part, ["k", "j", "k"])
         assert ok and pair is None
+
+    def test_verdict_needs_containment(self):
+        # bisimilar sides, but a witness that relates every state to every other
+        m = make_mdp({0: {"a": {1: 1}}, 1: {}}, labels={1: (HACKED,)}, ap=(HACKED,))
+        report = _verify("demo", {"left": m, "right": m},
+                         {"left": lambda s: 0, "right": lambda s: 0})
+        assert report.bisimilar and not report.witness_contained
+        assert not report.equivalent
+        assert report.counterexample == (0, 1)
+        assert list(report.probes) == ["left", "right"]

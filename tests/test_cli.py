@@ -1,19 +1,32 @@
 """Command-line interface and config parsing."""
 
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from dispersal_mc.cli import build_parser, main
-from dispersal_mc.configio import ConfigError, load_model_params, load_sweep_spec
+from dispersal_mc.configio import (ConfigError, channel_cutoff_from_dict, load_json,
+                                  load_model_params, load_sweep_spec,
+                                  model_params_from_dict, sweep_spec_from_dict)
 
+ROOT = Path(__file__).resolve().parent.parent
 
 SLICE_ANCHOR = {
     "n": 2, "m": 1, "c": 2,
     "profile": "explicit", "k1": 1, "k2": 1,
     "x": ["1", "1"], "a": ["1/2"],
 }
+THM3 = {"n": 3, "m": 2, "c": 3, "profile": "lt-linear", "k1": 2, "k2": 3,
+        "a": ["0.1", "0.2"]}
+THM2 = {"n": 3, "k1": 2, "k2": 3,
+        "channels": [{"size": 2, "a": "0.1"}, {"size": 1, "a": "0.3"}]}
+SWEEP = {"attacker": "slice", "profile": "lt-linear", "n_from": 3, "n_to": 3,
+         "m": 2, "a_interval": ["0", "0.25"]}
+# Files under configs/ that a command other than check/export/oracle reads.
+CONFIG_COMMANDS = {"sweep_lt_low.json": "sweep", "channels_cutoff.json": "verify-thm2"}
 
 
 def write_json(tmp_path, name, doc):
@@ -166,6 +179,58 @@ class TestCli:
         code, _ = run(argv)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, doc, field", [
+        ("check", dict(THM3, capacity=2), "capacity"),
+        ("check", dict(THM3, x=["1/2", "1"]), "x"),
+        ("check", {"n": 3, "m": 1, "profile": "rs", "a": ["0.1"], "x": ["1"]}, "x"),
+        ("check", dict(SLICE_ANCHOR, ratio="0.5"), "ratio"),
+        ("check", dict(THM3, f=["1"]), "f"),
+        ("check", dict(THM3, solver="exact"), "solver"),
+        ("check", dict(THM2, profile="lt-linear", a=["0.1", "0.2"]), "a"),
+        ("check", dict(THM2, profile="lt-linear", p=["1/2", "1/2"]), "p"),
+        ("sweep", dict(SWEEP, n_stpe=5), "n_stpe"),
+        ("sweep", dict(SWEEP, a=["0.1", "0.2"]), "a_interval"),
+        ("sweep", dict(SWEEP, f=["1"]), "f"),
+        ("sweep", {**SWEEP, "channels": THM2["channels"], "m": 3}, "m"),
+        ("verify-thm2", dict(THM2, channels=[{"size": 2, "sizee": 3, "a": "0.1"}]), "sizee"),
+        ("verify-thm2", dict(THM2, a=["0.1"]), "a"),
+        ("verify-thm2", dict(THM2, profile="rs"), "profile"),
+    ], ids=["capacity", "x-lt-linear", "x-rs", "ratio-explicit", "f-no-channels",
+            "solver-in-model", "a-next-to-channels", "p-next-to-channels", "n_stpe",
+            "a_interval-next-to-a", "f-in-sweep", "m-next-to-channels",
+            "channel-entry-sizee", "a-in-thm2", "profile-in-thm2"])
+    def test_unread_field_refused(self, tmp_path, capsys, command, doc, field):
+        # each case ran with exit 0 while loaders ignored fields they did not read
+        cfg = str(write_json(tmp_path, "cfg.json", doc))
+        argv = {"check": ["check", "--config", cfg, "--attacker", "slice"],
+                "sweep": ["sweep", "--spec", cfg, "--out", str(tmp_path / "out.csv")],
+                "verify-thm2": ["verify-thm2", "--config", cfg]}[command]
+        code, _ = run(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
+
+    def test_shipped_and_benchmark_inputs_load(self):
+        # every file under configs/ and every input the benchmark writes goes
+        # through the loader of the command that reads it
+        loaders = {"sweep": sweep_spec_from_dict,
+                   "verify-thm2": channel_cutoff_from_dict}
+        inputs = [(CONFIG_COMMANDS.get(path.name, "check"), load_json(path))
+                  for path in sorted((ROOT / "configs").glob("*.json"))]
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS:
+            for seed in (0, 1):
+                files = workloads.input_files(workload, seed)
+                for _, argv in workloads.operations(workload, ""):
+                    flag = "--spec" if argv[0] == "sweep" else "--config"
+                    inputs.append((argv[0], files[argv[argv.index(flag) + 1]]))
+        assert {command for command, _ in inputs} == {
+            "check", "oracle", "export", "sweep", "verify-thm2", "verify-thm3"}
+        for command, doc in inputs:
+            loaders.get(command, model_params_from_dict)(doc)
 
     def test_state_cap_is_a_clean_refusal(self, tmp_path, capsys, monkeypatch):
         from dispersal_mc import mdp

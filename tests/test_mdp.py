@@ -12,6 +12,8 @@ from dispersal_mc import (Branch, CompositionError, Distribution, ExplorationErr
                           ModelError, TemplateModule, TransitionTemplate,
                           VarDecl, compose_templates, expand, validate)
 from dispersal_mc.mdp import sccs
+from dispersal_mc.models import (ModelParams, build_composed, lt_linear_profile,
+                                 uniform_probabilities)
 from helpers import make_mdp, random_mdp
 
 
@@ -41,6 +43,39 @@ class TestDistribution:
         total = sum(weights)
         d = Distribution({i: w / total for i, w in enumerate(weights)})
         assert d.total() == 1
+
+
+class TestSingleMerge:
+    """Distribution is the one place where repeated outcomes are summed."""
+
+    def test_repeated_outcomes_merge(self):
+        d = Distribution([(1, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))])
+        assert d == Distribution({1: Fraction(2, 3), 2: Fraction(1, 3)})
+        assert d.items() == ((1, Fraction(2, 3)), (2, Fraction(1, 3)))
+
+    def test_branches_reaching_one_successor_become_one_edge(self):
+        mod = TemplateModule(
+            "merge", (VarDecl("x", 0, 1),),
+            (TransitionTemplate("go", (("x", "=", 0),),
+                                (Branch(Fraction(1, 4), (("x", "=", 1),)),
+                                 Branch(Fraction(1, 4), (("x", "+", 1),)),
+                                 Branch(Fraction(1, 2)))),))
+        m = expand(mod)
+        assert m.transitions[0]["go"].items() == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+        assert m.transition_count == 2
+
+    @pytest.mark.parametrize("attacker, reduced, size", [
+        ("slice", False, (308, 439)), ("slice", True, (68, 104)),
+        ("provider", False, (304, 403)), ("provider", True, (136, 191)),
+    ])
+    def test_zero_weight_branches_are_not_explored(self, attacker, reduced, size):
+        # a_i = 0 and a_i = 1 give zero-weight coin branches; a successor
+        # reached only through them must not become a state
+        params = ModelParams(n=4, m=3, c=4, k1=2, k2=3,
+                             a=(Fraction(0), Fraction(1), Fraction(1, 2)),
+                             x=lt_linear_profile(2, 3, 4), p=uniform_probabilities(3))
+        m = build_composed(params, attacker, reduced=reduced)
+        assert (m.state_count, m.transition_count) == size
 
 
 class TestValidate:
