@@ -26,7 +26,8 @@ THM2 = {"n": 3, "k1": 2, "k2": 3,
 SWEEP = {"attacker": "slice", "profile": "lt-linear", "n_from": 3, "n_to": 3,
          "m": 2, "a_interval": ["0", "0.25"]}
 # Files under configs/ that a command other than check/export/oracle reads.
-CONFIG_COMMANDS = {"sweep_lt_low.json": "sweep", "channels_cutoff.json": "verify-thm2"}
+CONFIG_COMMANDS = {"sweep_lt_low.json": "sweep", "sweep_slice_m3.json": "sweep",
+                   "sweep_provider_m5.json": "sweep", "channels_cutoff.json": "verify-thm2"}
 
 
 def write_json(tmp_path, name, doc):

@@ -34,7 +34,8 @@ CASES["verify-thm3-capacity_abstraction.json"] = [
     "verify-thm3", "--config", "configs/capacity_abstraction.json", "--format", "json"]
 CASES["verify-thm2-channels_cutoff.json"] = [
     "verify-thm2", "--config", "configs/channels_cutoff.json", "--format", "json"]
-CASES["sweep-sweep_lt_low.csv"] = ["sweep", "--spec", "configs/sweep_lt_low.json"]
+for _spec in ("sweep_lt_low", "sweep_slice_m3", "sweep_provider_m5"):
+    CASES[f"sweep-{_spec}.csv"] = ["sweep", "--spec", f"configs/{_spec}.json"]
 
 
 def replay(argv: list[str], workdir: str) -> bytes:
