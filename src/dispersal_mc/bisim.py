@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .mdp import Distribution, Mdp
+from .mdp import Distribution, Mdp, MdpBuilder
 from .models import (AbstractionPreconditionError, Channel, ModelParams,
                      ParameterError, build_composed, expand_channels,
                      lt_linear_profile)
@@ -44,16 +44,19 @@ class Partition:
         return self.block_of[s] == self.block_of[t]
 
 
-def _signature(row, block_of, offset=0):
-    """Canonical refinement key of a row whose targets sit ``offset`` further
-    on in ``block_of``: action -> block-mass vector."""
+def _signature(m: Mdp, s: int, block_of, offset=0):
+    """Canonical refinement key of state ``s`` of ``m``, whose states sit
+    ``offset`` further on in ``block_of``: action -> block-mass vector."""
+    fe, tg, wi, weights = m.first_edge, m.targets, m.weight_ids, m.weights
     sig = []
-    for action in sorted(row):
+    for c in range(m.first_choice[s], m.first_choice[s + 1]):
         acc: dict[int, Fraction] = {}
-        for t, w in row[action].items():
-            b = block_of[t + offset]
+        for e in range(fe[c], fe[c + 1]):
+            b = block_of[tg[e] + offset]
+            w = weights[wi[e]]
             acc[b] = acc[b] + w if b in acc else w
-        sig.append((action, tuple(sorted(acc.items()))))
+        sig.append((m.actions[m.choice_action[c]], tuple(sorted(acc.items()))))
+    sig.sort()
     return tuple(sig)
 
 
@@ -67,26 +70,28 @@ def _refine(models: Sequence[Mdp]) -> Partition:
     largest group) keep the old id, each other group gets a fresh one. It
     stops when no state moves. Blocks are numbered by smallest member.
     """
-    rows, labels = [], []
+    home, labels = [], []  # per state of the union: (model, offset)
+    preds: list[list[int]] = []
     for m in models:
-        rows += [(row, len(labels)) for row in m.transitions]
+        off = len(labels)
+        home += [(m, off)] * len(m.states)
         labels += m.labels
-    preds: list[list[int]] = [[] for _ in rows]
-    for s, (row, off) in enumerate(rows):
-        for dist in row.values():
-            for t, _ in dist.items():
-                preds[t + off].append(s)
+        preds += [[] for _ in m.states]
+        fc, fe, tg = m.first_choice, m.first_edge, m.targets
+        for s in range(len(m.states)):
+            for t in tg[fe[fc[s]]:fe[fc[s + 1]]]:
+                preds[t + off].append(s + off)
     label_id: dict = {}
     block_of = [label_id.setdefault(lab, len(label_id)) for lab in labels]
     size = [block_of.count(b) for b in range(len(label_id))]
     block_sig: list = [None] * len(size)
-    dirty = range(len(rows))
+    dirty = range(len(labels))
     while dirty:
         touched: dict[int, dict] = {}
         for s in dirty:
-            row, off = rows[s]
+            m, off = home[s]
             groups = touched.setdefault(block_of[s], {})
-            groups.setdefault(_signature(row, block_of, off), []).append(s)
+            groups.setdefault(_signature(m, s - off, block_of, off), []).append(s)
         moved = []
         for b, groups in touched.items():
             rest = size[b] - sum(map(len, groups.values()))
@@ -124,30 +129,24 @@ def quotient(m: Mdp, partition: Partition) -> Mdp:
     """
     for block in partition.blocks:
         rep = block[0]
-        rep_sig = _signature(m.transitions[rep], partition.block_of)
+        rep_sig = _signature(m, rep, partition.block_of)
         for s in block[1:]:
             if m.labels[s] != m.labels[rep]:
                 raise NotBisimulationError(
                     f"states {rep} and {s} share a block but not labels",
                     counterexample=(rep, s))
-            if _signature(m.transitions[s], partition.block_of) != rep_sig:
+            if _signature(m, s, partition.block_of) != rep_sig:
                 raise NotBisimulationError(
                     f"states {rep} and {s} share a block but have different "
                     f"block-level transition masses",
                     counterexample=(rep, s))
-    states = [(b,) for b in range(partition.num_blocks)]
-    transitions = []
-    labels = []
+    rows = MdpBuilder()
     for block in partition.blocks:
-        rep = block[0]
-        row = {
-            action: dist.remap(lambda t: partition.block_of[t])
-            for action, dist in m.transitions[rep].items()
-        }
-        transitions.append(row)
-        labels.append(m.labels[rep])
+        rows.add_state([(action, [(partition.block_of[t], rows.weight_id(w)) for t, w in pairs])
+                        for action, pairs in m.choices(block[0])])
     initial = m.initial.remap(lambda s: partition.block_of[s])
-    return Mdp(("block",), states, transitions, initial, labels, ap=m.ap)
+    return Mdp(("block",), [(b,) for b in range(partition.num_blocks)], initial,
+               [m.labels[block[0]] for block in partition.blocks], rows, ap=m.ap)
 
 
 @dataclass

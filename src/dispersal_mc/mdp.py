@@ -9,9 +9,11 @@ templates. Parallel composition acts on templates, before expansion
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -79,9 +81,6 @@ class Distribution:
 
     def is_probability(self) -> bool:
         return self.total() == 1
-
-    def floats(self) -> tuple[tuple[int, float], ...]:
-        return tuple((k, float(m)) for k, m in self._items)
 
     def remap(self, fn: Callable[[int], int]) -> "Distribution":
         """Push the distribution through an outcome mapping, merging masses."""
@@ -223,27 +222,77 @@ class TemplateModule:
         return frozenset(t.action for t in self.templates)
 
 
+class MdpBuilder:
+    """Collects an MDP's choices, state by state, in the flat layout of :class:`Mdp`.
+
+    The one place where a choice's repeated outcomes are merged and its
+    targets sorted. Action names and exact masses are interned in tables.
+    """
+
+    def __init__(self):
+        self.actions: list[str] = []
+        self.weights: list[Fraction] = []
+        self._ids: dict = {}
+        self.first_choice, self.first_edge = array("q", [0]), array("q", [0])
+        self.choice_action, self.targets, self.weight_ids = array("i"), array("i"), array("i")
+
+    def _intern(self, table: list, item) -> int:
+        i = self._ids.get(item)
+        if i is None:
+            i = self._ids[item] = len(table)
+            table.append(item)
+        return i
+
+    def weight_id(self, mass: Fraction) -> int:
+        return self._intern(self.weights, mass)
+
+    def add_state(self, choices: list[tuple[str, list[tuple[int, int]]]]) -> None:
+        """Append the next state's choices, each ``(action, pairs)``; the
+        ``(target, weight id)`` pairs may repeat a target and come in any order."""
+        targets, ids, weights = self.targets, self.weight_ids, self.weights
+        for action, pairs in choices:
+            pairs.sort()
+            last = -1
+            for t, w in pairs:
+                if t == last:
+                    ids[-1] = self.weight_id(weights[ids[-1]] + weights[w])
+                else:
+                    targets.append(t)
+                    ids.append(w)
+                    last = t
+            self.choice_action.append(self._intern(self.actions, action))
+            self.first_edge.append(len(targets))
+        self.first_choice.append(len(self.choice_action))
+
+
 class Mdp:
     """An explicit-state MDP over valuations of bounded integer variables.
 
-    Instances are treated as immutable once built; any number of concurrent
-    readers is safe.
+    Transitions are stored flat, as in sparse matrices with row groups (Hensel
+    et al., "The probabilistic model checker Storm", STTT 24, 2022): state
+    ``s`` owns the choices ``first_choice[s]`` up to ``first_choice[s + 1]``,
+    choice ``c`` is labelled ``actions[choice_action[c]]`` and owns the edges
+    ``first_edge[c]`` up to ``first_edge[c + 1]``, and edge ``e`` goes to
+    ``targets[e]`` with the exact mass ``weights[weight_ids[e]]``. Within a
+    choice, targets strictly increase. Instances are treated as immutable once
+    built; any number of concurrent readers is safe.
     """
 
-    __slots__ = ("variables", "states", "transitions", "initial", "labels", "ap")
+    __slots__ = ("variables", "states", "initial", "labels", "ap", "actions", "weights",
+                 "first_choice", "choice_action", "first_edge", "targets", "weight_ids")
 
-    def __init__(self, variables, states, transitions, initial, labels, ap=None):
+    def __init__(self, variables, states, initial, labels, rows: MdpBuilder, ap=None):
         self.variables = tuple(variables)
         self.states = [tuple(s) for s in states]
-        self.transitions = list(transitions)
         self.initial = initial if isinstance(initial, Distribution) else Distribution(initial)
         self.labels = [frozenset(lab) for lab in labels]
-        if not (len(self.states) == len(self.transitions) == len(self.labels)):
-            raise ModelError("states, transitions and labels must have equal length")
-        if ap is not None:
-            self.ap = frozenset(ap)
-        else:
-            self.ap = frozenset().union(*self.labels) if self.labels else frozenset()
+        self.ap = frozenset(ap) if ap is not None else frozenset().union(*self.labels)
+        self.actions, self.weights = tuple(rows.actions), tuple(rows.weights)
+        self.first_choice, self.choice_action, self.first_edge = (
+            rows.first_choice, rows.choice_action, rows.first_edge)
+        self.targets, self.weight_ids = rows.targets, rows.weight_ids
+        if not len(self.states) == len(self.first_choice) - 1 == len(self.labels):
+            raise ModelError("states, transition rows and labels must have equal length")
 
     @property
     def state_count(self) -> int:
@@ -252,7 +301,14 @@ class Mdp:
     @property
     def transition_count(self) -> int:
         """Number of probabilistic edges (support entries over all choices)."""
-        return sum(len(d.items()) for row in self.transitions for d in row.values())
+        return len(self.targets)
+
+    def choices(self, s: int) -> list[tuple[str, tuple[tuple[int, Fraction], ...]]]:
+        """State ``s``'s choices in order, each as ``(action, ((target, mass), ...))``."""
+        fe, tg, wi = self.first_edge, self.targets, self.weight_ids
+        return [(self.actions[self.choice_action[c]],
+                 tuple((tg[e], self.weights[wi[e]]) for e in range(fe[c], fe[c + 1])))
+                for c in range(self.first_choice[s], self.first_choice[s + 1])]
 
     def states_with(self, prop: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if prop in lab]
@@ -264,26 +320,46 @@ class Mdp:
 def validate(m: Mdp) -> list[str]:
     """Check the defining invariants of an MDP, returning one message per violation.
 
-    An empty list means: every enabled action's outgoing mass is exactly 1,
-    the initial distribution sums to exactly 1, and all transition targets
-    are states of the model.
+    An empty list means: the initial distribution sums to exactly 1 over
+    states, every table mass is positive, both offset arrays rise from 0 to
+    the length of the arrays they index, action and weight ids index their
+    tables, and each choice's targets are states in strictly increasing
+    order whose masses sum to exactly 1. A broken offset array or action id
+    ends the check, since the choices cannot be walked.
     """
-    problems: list[str] = []
-    n = len(m.states)
+    n, fc, fe, tg, wi = len(m.states), m.first_choice, m.first_edge, m.targets, m.weight_ids
     total = m.initial.total()
-    if total != 1:
-        problems.append(f"initial distribution: mass {total} != 1")
-    for t in m.initial.support:
-        if not 0 <= t < n:
-            problems.append(f"initial distribution: target {t} is not a state")
-    for i, row in enumerate(m.transitions):
-        for action, dist in row.items():
-            mass = dist.total()
-            if mass not in (Fraction(0), Fraction(1)):
-                problems.append(f"state {i}, action {action!r}: mass {mass} not in {{0, 1}}")
-            for t in dist.support:
+    problems = [f"initial distribution: mass {total} != 1"] if total != 1 else []
+    problems += [f"initial distribution: target {t} is not a state"
+                 for t in m.initial.support if not 0 <= t < n]
+    problems += [f"weight table: mass {w} is not positive" for w in m.weights if w <= 0]
+    for name, offsets, cells in (("first_choice", fc, m.choice_action), ("first_edge", fe, tg),
+                                 ("first_edge", fe, wi)):
+        if (not offsets or offsets[0] != 0 or offsets[-1] != len(cells)
+                or any(a > b for a, b in zip(offsets, offsets[1:]))):
+            return problems + [f"{name}: offsets do not rise from 0 to {len(cells)}"]
+    if len(fc) != n + 1 or len(fe) != len(m.choice_action) + 1:
+        return problems + ["offset arrays do not match the state and choice counts"]
+    bad = [f"choice {c}: action id {a} is not in the table"
+           for c, a in enumerate(m.choice_action) if not 0 <= a < len(m.actions)]
+    if bad:
+        return problems + bad
+    for s in range(n):
+        for c in range(fc[s], fc[s + 1]):
+            where = f"state {s}, action {m.actions[m.choice_action[c]]!r}"
+            mass, last = Fraction(0), -1
+            for t, w in zip(tg[fe[c]:fe[c + 1]], wi[fe[c]:fe[c + 1]]):
                 if not 0 <= t < n:
-                    problems.append(f"state {i}, action {action!r}: target {t} is not a state")
+                    problems.append(f"{where}: target {t} is not a state")
+                elif t <= last:
+                    problems.append(f"{where}: target {t} follows {last}, not increasing")
+                last = t
+                if 0 <= w < len(m.weights):
+                    mass += m.weights[w]
+                else:
+                    problems.append(f"{where}: weight id {w} is not in the table")
+            if mass != 1:
+                problems.append(f"{where}: mass {mass} != 1")
     return problems
 
 
@@ -295,7 +371,7 @@ def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
     it. States in ``absorbing`` are treated as having no successors.
     """
     n = len(m.states)
-    rows = m.transitions
+    fc, fe, tg = m.first_choice, m.first_edge, m.targets
     index = [0] * n  # DFS number from 1; 0 marks an unvisited state
     low = [0] * n
     on_stack = bytearray(n)
@@ -306,7 +382,7 @@ def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
         index[s] = low[s] = next(counter)
         stack.append(s)
         on_stack[s] = 1
-        succ = () if s in absorbing else [t for d in rows[s].values() for t, _ in d.items()]
+        succ = () if s in absorbing else tg[fe[fc[s]]:fe[fc[s + 1]]]
         return s, iter(succ)
 
     for root in range(n):
@@ -362,6 +438,11 @@ def expand(module: TemplateModule) -> Mdp:
     state indices follow discovery order, so the result is deterministic for
     a fixed template ordering. States carry the module's labels, and the
     model's atomic propositions are the label names.
+
+    Guards and labels are tested once per interval class, not once per
+    state: the cut points of a tested position are each test's low and
+    high + 1, so values between two cuts pass the same tests. The enabled
+    templates, in template order, and the label are memoised per class.
     """
     names = module.var_names
     missing = list(module.reads)
@@ -370,67 +451,83 @@ def expand(module: TemplateModule) -> Mdp:
             f"module {module.name}: unresolved foreign reads {missing}; compose first")
     pos = {name: i for i, name in enumerate(names)}
     ranges = [(d.low, d.high) for d in module.variables]
+    rows = MdpBuilder()
     compiled = []
     for t in module.templates:
-        # Distribution drops zero masses too, but a successor reached only
-        # with mass 0 must not be explored, so zero branches go here.
+        # A successor reached only with mass 0 must not be explored, so zero
+        # branches go here.
         branches = tuple(
-            (b.weight, tuple((pos[var], op == "+", k) for var, op, k in b.update))
+            (rows.weight_id(b.weight),
+             tuple((pos[var], op == "+", k, *ranges[pos[var]]) for var, op, k in b.update))
             for b in t.branches if b.weight != 0)
         compiled.append((t.action, _intervals(t.guard, pos, ranges), branches))
+    label_tests = [(prop, _intervals(g, pos, ranges)) for prop, g in module.labels.items()]
 
+    cuts: dict[int, set[int]] = {}
+    for tests in [c[1] for c in compiled] + [tests for _, tests in label_tests]:
+        for p, low, high in tests:
+            cuts.setdefault(p, set()).update((low, high + 1))
+    tested = sorted(cuts)
+    cut_lists = [sorted(cuts[p]) for p in tested]
+    pick = itemgetter(*tested) if len(tested) > 1 else lambda s: tuple(s[p] for p in tested)
+
+    def passes(s, tests):
+        return all(low <= s[p] <= high for p, low, high in tests)
+
+    def classify(s):
+        """The templates enabled in ``s``'s class up to a second one for an
+        action, that action (or None) and the class's label."""
+        enabled, seen, clash = [], set(), None
+        for action, guard, branches in compiled:
+            if passes(s, guard):
+                if action in seen:
+                    clash = action
+                    break
+                seen.add(action)
+                enabled.append((action, branches))
+        return enabled, clash, frozenset(prop for prop, tests in label_tests
+                                         if passes(s, tests))
+
+    cap = STATE_CAP
     init_key = tuple(d.init for d in module.variables)
     states: list[tuple[int, ...]] = [init_key]
     index: dict[tuple[int, ...], int] = {init_key: 0}
-    transitions: list[dict[str, Distribution]] = []
-    queue: deque[int] = deque([0])
-
-    while queue:
-        i = queue.popleft()
-        s = states[i]
-        row: dict[str, Distribution] = {}
-        for action, guard, branches in compiled:
-            for p, low, high in guard:
-                if not low <= s[p] <= high:
-                    break
-            else:
-                if action in row:
-                    raise ModelError(
-                        f"module {module.name}: two templates for action {action!r} "
-                        f"enabled in state {s}")
-                pairs = []
-                for weight, update in branches:
-                    nv = list(s)
-                    for p, add, k in update:
-                        val = nv[p] + k if add else k
-                        low, high = ranges[p]
-                        if not low <= val <= high:
-                            raise ExplorationError(
-                                f"variable {names[p]!r} left its range [{low}, {high}] "
-                                f"with value {val}")
-                        nv[p] = val
-                    key = tuple(nv)
-                    j = index.get(key)
-                    if j is None:
-                        j = len(states)
-                        if j >= STATE_CAP:
-                            raise ExplorationError(f"state cap {STATE_CAP} exceeded")
-                        index[key] = j
-                        states.append(key)
-                        queue.append(j)
-                    pairs.append((j, weight))
-                row[action] = Distribution(pairs)
-        transitions.append(row)
-
-    label_tests = [(prop, _intervals(g, pos, ranges)) for prop, g in module.labels.items()]
-    interned: dict[frozenset[str], frozenset[str]] = {}
-    labels = []
-    for s in states:
-        lab = frozenset(prop for prop, tests in label_tests
-                        if all(low <= s[p] <= high for p, low, high in tests))
-        labels.append(interned.setdefault(lab, lab))
-    return Mdp(names, states, transitions, Distribution.point(0), labels,
-               ap=module.labels.keys())
+    labels: list[frozenset[str]] = []
+    memo: dict[tuple[int, ...], tuple] = {}
+    for s in states:  # a list iterator also visits the states appended below
+        key = tuple(map(bisect_right, cut_lists, pick(s)))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = classify(s)
+        enabled, clash, label = hit
+        labels.append(label)
+        row = []
+        for action, branches in enabled:
+            pairs = []
+            for wid, update in branches:
+                nv = list(s)
+                for p, add, k, low, high in update:
+                    val = nv[p] + k if add else k
+                    if not low <= val <= high:
+                        raise ExplorationError(
+                            f"variable {names[p]!r} left its range [{low}, {high}] "
+                            f"with value {val}")
+                    nv[p] = val
+                succ = tuple(nv)
+                j = index.get(succ)
+                if j is None:
+                    j = len(states)
+                    if j >= cap:
+                        raise ExplorationError(f"state cap {cap} exceeded")
+                    index[succ] = j
+                    states.append(succ)
+                pairs.append((j, wid))
+            row.append((action, pairs))
+        if clash is not None:
+            raise ModelError(f"module {module.name}: two templates for action {clash!r} "
+                             f"enabled in state {s}")
+        rows.add_state(row)
+    return Mdp(names, states, Distribution.point(0), labels, rows, ap=module.labels.keys())
 
 
 def compose_templates(left: TemplateModule, right: TemplateModule,

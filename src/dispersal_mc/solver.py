@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mdp import Distribution, Mdp, sccs
+from .mdp import Mdp, sccs
 
 
 class QueryError(ValueError):
@@ -69,7 +69,13 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
         raise QueryError(f"proposition {target!r} is not in the model's alphabet")
     targets = frozenset(m.states_with(target))
     one = Fraction(1) if exact else 1.0
-    weights = Distribution.items if exact else Distribution.floats
+    table = m.weights if exact else [float(w) for w in m.weights]
+    fc, fe, tg, wi = m.first_choice, m.first_edge, m.targets, m.weight_ids
+
+    def row(s):
+        return [[(tg[e], table[wi[e]]) for e in range(fe[c], fe[c + 1])]
+                for c in range(fc[s], fc[s + 1])]
+
     values = [[0] * len(m.states) for _ in bests]
     rounds = 0
     for scc in sccs(m, targets):
@@ -79,15 +85,17 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
                 for v in values:
                     v[s] = one
                 continue
-            row = [weights(d) for d in m.transitions[s].values()]
-            if all(t != s for pairs in row for t, _ in pairs):
+            if s not in tg[fe[fc[s]]:fe[fc[s + 1]]]:
                 for v, best in zip(values, bests):
-                    if row:
-                        v[s] = best(sum(w * v[t] for t, w in pairs if v[t]) for pairs in row)
+                    sums = [sum([table[wi[e]] * v[tg[e]]
+                                 for e in range(fe[c], fe[c + 1]) if v[tg[e]]])
+                            for c in range(fc[s], fc[s + 1])]
+                    if sums:
+                        v[s] = best(sums)
                 continue
-            acts = {s: row}
+            acts = {s: row(s)}
         else:
-            acts = {s: [weights(d) for d in m.transitions[s].values()] for s in scc}
+            acts = {s: row(s) for s in scc}
         for v, best in zip(values, bests):
             rounds += _solve_component(acts, v, best)
     return values, rounds

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
-from dispersal_mc import Distribution, Mdp, ModelParams
+from dispersal_mc import (Distribution, ExplorationError, Mdp, ModelError, ModelParams,
+                          TemplateModule)
+from dispersal_mc.mdp import MdpBuilder
 
 
 def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
@@ -32,15 +35,14 @@ def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
         if labels:
             n = max(n, max(labels) + 1)
     states = [(i,) for i in range(n)]
-    rows = []
+    rows = MdpBuilder()
     for s in range(n):
-        row = transitions.get(s, {})
-        rows.append({action: Distribution({t: Fraction(w) for t, w in dist.items()})
-                     for action, dist in row.items()})
+        rows.add_state([(action, [(t, rows.weight_id(Fraction(w))) for t, w in dist.items()])
+                        for action, dist in transitions.get(s, {}).items()])
     labs = [frozenset(labels.get(s, ())) if labels else frozenset() for s in range(n)]
     init = Distribution({initial: Fraction(1)}) if isinstance(initial, int) \
         else Distribution({s: Fraction(w) for s, w in initial.items()})
-    return Mdp(("s",), states, rows, init, labs, ap=ap)
+    return Mdp(("s",), states, init, labs, rows, ap=ap)
 
 
 def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> float:
@@ -56,8 +58,8 @@ def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> 
     """
     targets = set(m.states_with(target))
     v = [1.0 if s in targets else 0.0 for s in range(len(m.states))]
-    rows = {s: [dist.floats() for dist in m.transitions[s].values()]
-            for s in reversed(range(len(m.states))) if s not in targets and m.transitions[s]}
+    rows = {s: [[(t, float(w)) for t, w in pairs] for _, pairs in m.choices(s)]
+            for s in reversed(range(len(m.states))) if s not in targets and m.choices(s)}
     best = max if direction == "max" else min
     for _ in range(100_000):
         rise = 0.0
@@ -68,6 +70,61 @@ def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> 
         if rise < tol:
             return sum(float(w) * v[s] for s, w in m.initial.items())
     raise AssertionError("value iteration did not converge")
+
+
+def expand_reference(module: TemplateModule):
+    """Breadth-first expansion that tests every template in every state and
+    keeps one ``{action: masses}`` row per state.
+
+    The reference for the engine's ``expand``, sharing none of its code.
+    Returns ``(states, choices, labels, ap)``, where ``choices[s]`` lists
+    ``(action, ((target, mass), ...))`` in template order with targets
+    ascending. Raises the errors ``expand`` raises, with the same messages.
+    """
+    pos = {d.name: i for i, d in enumerate(module.variables)}
+    ranges = {d.name: (d.low, d.high) for d in module.variables}
+
+    def holds(s, guard):
+        return all(s[pos[var]] == k if op == "=" else
+                   s[pos[var]] < k if op == "<" else s[pos[var]] >= k
+                   for var, op, k in guard)
+
+    init = tuple(d.init for d in module.variables)
+    states, index, choices = [init], {init: 0}, []
+    queue = deque([0])
+    while queue:
+        s = states[queue.popleft()]
+        row = {}
+        for t in module.templates:
+            if not holds(s, t.guard):
+                continue
+            if t.action in row:
+                raise ModelError(f"module {module.name}: two templates for action "
+                                 f"{t.action!r} enabled in state {s}")
+            masses = {}
+            for b in t.branches:
+                if b.weight == 0:
+                    continue
+                nv = list(s)
+                for var, op, k in b.update:
+                    val = nv[pos[var]] + k if op == "+" else k
+                    low, high = ranges[var]
+                    if not low <= val <= high:
+                        raise ExplorationError(f"variable {var!r} left its range "
+                                               f"[{low}, {high}] with value {val}")
+                    nv[pos[var]] = val
+                succ = tuple(nv)
+                if succ not in index:
+                    index[succ] = len(states)
+                    states.append(succ)
+                    queue.append(index[succ])
+                j = index[succ]
+                masses[j] = masses.get(j, 0) + b.weight
+            row[t.action] = tuple(sorted(masses.items()))
+        choices.append(list(row.items()))
+    labels = [frozenset(prop for prop, g in module.labels.items() if holds(s, g))
+              for s in states]
+    return states, choices, labels, frozenset(module.labels)
 
 
 def explore_client_states(n, m, c, p):
@@ -175,9 +232,9 @@ def all_set_partitions(items):
 def block_masses(m: Mdp, s: int, block_of):
     """Per-action block-mass vectors of one state under a candidate partition."""
     out = {}
-    for action, dist in m.transitions[s].items():
+    for action, pairs in m.choices(s):
         acc = {}
-        for t, w in dist.items():
+        for t, w in pairs:
             b = block_of[t]
             acc[b] = acc.get(b, Fraction(0)) + w
         out[action] = acc
@@ -212,14 +269,15 @@ def refine_by_rounds(*models: Mdp) -> tuple[int, ...]:
     stop when the block count stays put. Masses are exact integer multiples
     of one common denominator.
     """
-    scale = math.lcm(*(w.denominator for m in models for row in m.transitions
-                       for dist in row.values() for _, w in dist.items()))
     labels, rows = [], []
     for m in models:
         offset = len(rows)
         labels += m.labels
-        rows += [{action: [(t + offset, int(w * scale)) for t, w in dist.items()]
-                  for action, dist in row.items()} for row in m.transitions]
+        rows += [[(action, [(t + offset, w) for t, w in pairs]) for action, pairs in m.choices(s)]
+                 for s in range(len(m.states))]
+    scale = math.lcm(*(w.denominator for row in rows for _, pairs in row for _, w in pairs))
+    rows = [{action: [(t, int(w * scale)) for t, w in pairs] for action, pairs in row}
+            for row in rows]
     label_keys = sorted({tuple(sorted(lab)) for lab in labels})
     key_id = {k: i for i, k in enumerate(label_keys)}
     block_of = [key_id[tuple(sorted(lab))] for lab in labels]

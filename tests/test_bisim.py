@@ -101,13 +101,13 @@ class TestQuotient:
         part = Partition((0, 1), ((0,), (1,)))
         q = quotient(m, part)
         assert q.state_count == 2
-        assert q.transitions[0]["a"] == Distribution({0: F(1, 2), 1: F(1, 2)})
+        assert q.choices(0) == [("a", ((0, F(1, 2)), (1, F(1, 2))))]
 
     def test_one_block_collapse(self):
         m = make_mdp({0: {"a": {0: 1}}, 1: {"a": {1: 1}}})
         q = quotient(m, coarsest_bisimulation(m))
         assert q.state_count == 1
-        assert q.transitions[0]["a"] == Distribution.point(0)
+        assert q.choices(0) == [("a", ((0, F(1)),))]
 
     def test_refuses_non_bisimulation_with_counterexample(self):
         m = make_mdp({0: {"a": {1: 1}}, 1: {}}, labels={1: ("g",)})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from dispersal_mc import (Branch, CompositionError, Distribution, ExplorationErr
                           ModelError, TemplateModule, TransitionTemplate,
                           VarDecl, compose_templates, expand, validate)
 from dispersal_mc.mdp import sccs
-from dispersal_mc.models import (ModelParams, build_composed, lt_linear_profile,
-                                 uniform_probabilities)
-from helpers import make_mdp, random_mdp
+from dispersal_mc.models import (ModelParams, build_client, build_composed, build_intruder,
+                                 lt_linear_profile, uniform_probabilities)
+from acceptance_grid import build_grid
+from helpers import expand_reference, make_mdp, random_mdp
 
 
 class TestDistribution:
@@ -61,7 +63,7 @@ class TestSingleMerge:
                                  Branch(Fraction(1, 4), (("x", "+", 1),)),
                                  Branch(Fraction(1, 2)))),))
         m = expand(mod)
-        assert m.transitions[0]["go"].items() == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+        assert m.choices(0) == [("go", ((0, Fraction(1, 2)), (1, Fraction(1, 2))))]
         assert m.transition_count == 2
 
     @pytest.mark.parametrize("attacker, reduced, size", [
@@ -99,6 +101,74 @@ class TestValidate:
     def test_dangling_target_flagged(self):
         m = make_mdp({0: {"a": {3: 1}}}, num_states=2)
         assert any("target 3" in p for p in validate(m))
+
+
+def _corrupted(field, value):
+    """A valid three-state model with one layout field replaced by ``value``.
+
+    Its layout: first_choice [0, 2, 2, 2], choice_action [0, 1],
+    first_edge [0, 2, 3], targets [0, 1, 2], weight_ids [0, 0, 1] and
+    weights (1/2, 1).
+    """
+    m = make_mdp({0: {"a": {0: Fraction(1, 2), 1: Fraction(1, 2)}, "b": {2: 1}},
+                  1: {}, 2: {}})
+    assert validate(m) == []
+    setattr(m, field, array(getattr(m, field).typecode, value)
+            if isinstance(value, list) else value)
+    return validate(m)
+
+
+class TestValidateLayout:
+    """One hand-corrupted flat layout per invariant that ``validate`` checks."""
+
+    def test_layout_of_the_base_model(self):
+        m = make_mdp({0: {"a": {0: Fraction(1, 2), 1: Fraction(1, 2)}, "b": {2: 1}},
+                      1: {}, 2: {}})
+        assert (list(m.first_choice), list(m.choice_action), list(m.first_edge),
+                list(m.targets), list(m.weight_ids), m.weights, m.actions) == (
+            [0, 2, 2, 2], [0, 1], [0, 2, 3], [0, 1, 2], [0, 0, 1],
+            (Fraction(1, 2), Fraction(1)), ("a", "b"))
+
+    def test_decreasing_offsets_flagged(self):
+        assert _corrupted("first_choice", [0, 2, 1, 2]) == [
+            "first_choice: offsets do not rise from 0 to 2"]
+
+    def test_offsets_must_end_at_the_array_length(self):
+        assert _corrupted("first_edge", [0, 2, 2]) == [
+            "first_edge: offsets do not rise from 0 to 3"]
+        assert _corrupted("weight_ids", [0, 0]) == [
+            "first_edge: offsets do not rise from 0 to 2"]
+
+    def test_offsets_must_match_the_counts(self):
+        assert _corrupted("first_choice", [0, 2, 2]) == [
+            "offset arrays do not match the state and choice counts"]
+
+    def test_weight_id_outside_the_table_flagged(self):
+        assert _corrupted("weight_ids", [0, 0, 2]) == [
+            "state 0, action 'b': weight id 2 is not in the table",
+            "state 0, action 'b': mass 0 != 1"]
+
+    def test_action_id_outside_the_table_flagged(self):
+        assert _corrupted("choice_action", [0, 5]) == [
+            "choice 1: action id 5 is not in the table"]
+
+    def test_target_outside_the_states_flagged(self):
+        assert _corrupted("targets", [0, 1, 3]) == [
+            "state 0, action 'b': target 3 is not a state"]
+
+    def test_unsorted_or_unmerged_targets_flagged(self):
+        assert _corrupted("targets", [1, 0, 2]) == [
+            "state 0, action 'a': target 0 follows 1, not increasing"]
+        assert _corrupted("targets", [1, 1, 2]) == [
+            "state 0, action 'a': target 1 follows 1, not increasing"]
+
+    def test_nonpositive_mass_flagged(self):
+        assert _corrupted("weights", (Fraction(0), Fraction(1))) == [
+            "weight table: mass 0 is not positive", "state 0, action 'a': mass 0 != 1"]
+
+    def test_choice_mass_must_be_exactly_one(self):
+        assert _corrupted("weights", (Fraction(1, 3), Fraction(1))) == [
+            "state 0, action 'a': mass 2/3 != 1"]
 
 
 def counter_module(limit=2):
@@ -221,8 +291,8 @@ class TestComposeTemplates:
         prod = expand(compose_templates(coin_module("l", "x", p, action="busy"),
                                         coin_module("r", "y", q, action="busy"),
                                         shared=("busy",)))
-        dist = prod.transitions[prod.states.index((0, 0))]["busy"]
-        masses = {prod.states[t]: w for t, w in dist.items()}
+        pairs = dict(prod.choices(prod.states.index((0, 0))))["busy"]
+        masses = {prod.states[t]: w for t, w in pairs}
         assert masses == {
             (1, 1): p * q,
             (1, 0): p * (1 - q),
@@ -256,8 +326,8 @@ class TestComposeTemplates:
 def _reachable(m, s):
     seen, stack = {s}, [s]
     while stack:
-        for dist in m.transitions[stack.pop()].values():
-            for t in dist.support:
+        for _, pairs in m.choices(stack.pop()):
+            for t, _ in pairs:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -287,3 +357,110 @@ class TestSccs:
                 assert {t for t in reach[s] if s in reach[t]} == set(order[position[s]])
                 # every successor's component was yielded no later than s's own
                 assert all(position[t] <= position[s] for t in reach[s])
+
+
+def _outcome(module):
+    """What expansion of ``module`` gives: ("model", states, choices, labels,
+    ap) with choices as ``(action, ((target, mass), ...))`` per state, or
+    ("error", exception type, message)."""
+    try:
+        return ("model", *expand_reference(module))
+    except ModelError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _expanded(module):
+    try:
+        m = expand(module)
+    except ModelError as exc:
+        return ("error", type(exc), str(exc)), None
+    return ("model", m.states, [m.choices(s) for s in range(m.state_count)],
+            m.labels, m.ap), m
+
+
+def random_module(rng: random.Random) -> TemplateModule:
+    """A small template module whose guards overlap in intervals, whose
+    branches may reach one successor twice or carry weight 0, and whose
+    templates may share an action or leave a variable's range."""
+    variables = tuple(VarDecl(f"v{i}", 0, rng.randint(1, 4), 0)
+                      for i in range(rng.randint(1, 3)))
+
+    def atoms(ops, const):
+        return tuple((d.name, rng.choice(ops), const(d))
+                     for d in rng.sample(variables, rng.randint(0, len(variables))))
+
+    def guard():
+        return atoms(("=", "<", ">="), lambda d: rng.randint(0, d.high + 1))
+
+    patterns = [(Fraction(1),), (Fraction(1, 2), Fraction(1, 2)),
+                (Fraction(1, 3), Fraction(0), Fraction(2, 3)),
+                (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))]
+    templates = []
+    for _ in range(rng.randint(1, 6)):
+        branches = []
+        for w in rng.choice(patterns):
+            update = atoms(("=", "=", "+"), lambda d: rng.randint(0, d.high))
+            update = tuple((v, op, 1 if op == "+" else k) for v, op, k in update)
+            branches.append(Branch(w, update if rng.random() < 0.7 else ()))
+        templates.append(TransitionTemplate(rng.choice("abcdefg"), guard(), branches))
+    return TemplateModule("random", variables, tuple(templates),
+                          labels={"p": guard(), "q": guard()})
+
+
+def _grid_modules():
+    for name, params, attacker in build_grid():
+        for reduced in (False, True) if params.c >= params.n else (False,):
+            yield (f"{name}-{'reduced' if reduced else 'full'}", compose_templates(
+                build_client(params, reduced=reduced), build_intruder(params, attacker),
+                {"busy"}))
+
+
+class TestExpandMatchesReference:
+    """The dispatched, flat ``expand`` against the dict-row reference loop."""
+
+    @pytest.mark.parametrize("name, module", list(_grid_modules()),
+                             ids=[name for name, _ in _grid_modules()])
+    def test_grid_models(self, name, module):
+        got, m = _expanded(module)
+        assert got == _outcome(module)
+        assert m.transition_count == sum(len(pairs) for row in got[2] for _, pairs in row)
+        assert validate(m) == []
+
+    def test_random_modules(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(400):
+            module = random_module(rng)
+            expected = _outcome(module)
+            got, m = _expanded(module)
+            assert got == expected, module
+            seen.add(expected[0] if m is not None else expected[1].__name__)
+            if m is None:
+                continue
+            assert m.transition_count == sum(len(pairs) for row in got[2] for _, pairs in row)
+            assert validate(m) == []
+            fewest = {}  # action -> fewest nonzero branches of its templates
+            for t in module.templates:
+                count = sum(b.weight != 0 for b in t.branches)
+                fewest[t.action] = min(fewest.get(t.action, count), count)
+                if count < len(t.branches):
+                    seen.add("zero weight")
+            if any(len(pairs) < fewest[a] for row in got[2] for a, pairs in row):
+                seen.add("merged")
+        assert seen == {"model", "ModelError", "ExplorationError", "zero weight", "merged"}
+
+    def test_error_messages_kept(self):
+        clash = TemplateModule(
+            "clash", (VarDecl("x", 0, 2),),
+            (TransitionTemplate("go", (("x", "<", 2),), (Branch(Fraction(1), (("x", "+", 1),)),)),
+             TransitionTemplate("go", (("x", ">=", 1),), (Branch(Fraction(1), (("x", "=", 0),)),))))
+        leave = TemplateModule(
+            "leave", (VarDecl("x", 0, 1), VarDecl("y", 0, 3, 3)),
+            (TransitionTemplate("up", (), (Branch(Fraction(1, 2), (("x", "=", 1),)),
+                                           Branch(Fraction(1, 2), (("y", "+", 1),)))),))
+        for module, kind, message in (
+                (clash, ModelError,
+                 "module clash: two templates for action 'go' enabled in state (1,)"),
+                (leave, ExplorationError, "variable 'y' left its range [0, 3] with value 4")):
+            assert _outcome(module) == ("error", kind, message)
+            assert _expanded(module)[0] == ("error", kind, message)

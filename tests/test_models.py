@@ -212,12 +212,12 @@ class TestSliceAttacker:
         # fires with probability 1 straight into the reconstructed state
         params = simple_params(n=1, m=1, c=1, a=(F(1),), x=(F(1),))
         model = build_composed(params, "slice")
-        busy = [(s, dist) for s, row in enumerate(model.transitions)
-                for action, dist in row.items() if action == "busy"]
+        busy = [(s, pairs) for s in range(model.state_count)
+                for action, pairs in model.choices(s) if action == "busy"]
         assert len(busy) == 1
-        (state, dist), = busy
-        assert [w for _, w in dist.items()] == [F(1)]
-        target = dist.support[0]
+        (state, pairs), = busy
+        assert [w for _, w in pairs] == [F(1)]
+        target = pairs[0][0]
         assert HACKED in model.labels[target]
 
     def test_half_interception_three_quarters(self):
