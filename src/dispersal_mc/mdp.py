@@ -333,13 +333,13 @@ def validate(m: Mdp) -> list[str]:
     problems += [f"initial distribution: target {t} is not a state"
                  for t in m.initial.support if not 0 <= t < n]
     problems += [f"weight table: mass {w} is not positive" for w in m.weights if w <= 0]
-    for name, offsets, cells in (("first_choice", fc, m.choice_action), ("first_edge", fe, tg),
-                                 ("first_edge", fe, wi)):
-        if (not offsets or offsets[0] != 0 or offsets[-1] != len(cells)
+    for name, offsets, rows, cells in (("first_choice", fc, n, m.choice_action),
+                                       ("first_edge", fe, len(m.choice_action), tg),
+                                       ("first_edge", fe, len(m.choice_action), wi)):
+        if (len(offsets) != rows + 1 or offsets[0] != 0 or offsets[-1] != len(cells)
                 or any(a > b for a, b in zip(offsets, offsets[1:]))):
-            return problems + [f"{name}: offsets do not rise from 0 to {len(cells)}"]
-    if len(fc) != n + 1 or len(fe) != len(m.choice_action) + 1:
-        return problems + ["offset arrays do not match the state and choice counts"]
+            return problems + [f"{name}: offsets do not rise from 0 to {len(cells)} "
+                               f"in {rows + 1} entries"]
     bad = [f"choice {c}: action id {a} is not in the table"
            for c, a in enumerate(m.choice_action) if not 0 <= a < len(m.actions)]
     if bad:

@@ -131,17 +131,17 @@ class TestValidateLayout:
 
     def test_decreasing_offsets_flagged(self):
         assert _corrupted("first_choice", [0, 2, 1, 2]) == [
-            "first_choice: offsets do not rise from 0 to 2"]
+            "first_choice: offsets do not rise from 0 to 2 in 4 entries"]
 
     def test_offsets_must_end_at_the_array_length(self):
         assert _corrupted("first_edge", [0, 2, 2]) == [
-            "first_edge: offsets do not rise from 0 to 3"]
+            "first_edge: offsets do not rise from 0 to 3 in 3 entries"]
         assert _corrupted("weight_ids", [0, 0]) == [
-            "first_edge: offsets do not rise from 0 to 2"]
+            "first_edge: offsets do not rise from 0 to 2 in 3 entries"]
 
     def test_offsets_must_match_the_counts(self):
         assert _corrupted("first_choice", [0, 2, 2]) == [
-            "offset arrays do not match the state and choice counts"]
+            "first_choice: offsets do not rise from 0 to 2 in 4 entries"]
 
     def test_weight_id_outside_the_table_flagged(self):
         assert _corrupted("weight_ids", [0, 0, 2]) == [
