@@ -85,13 +85,13 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
                 for v in values:
                     v[s] = one
                 continue
-            if s not in tg[fe[fc[s]]:fe[fc[s + 1]]]:
+            c0, c1 = fc[s], fc[s + 1]
+            if s not in tg[fe[c0]:fe[c1]]:
                 for v, best in zip(values, bests):
-                    sums = [sum([table[wi[e]] * v[tg[e]]
+                    for c in range(c0, c1):
+                        q = sum([table[wi[e]] * v[tg[e]]
                                  for e in range(fe[c], fe[c + 1]) if v[tg[e]]])
-                            for c in range(fc[s], fc[s + 1])]
-                    if sums:
-                        v[s] = best(sums)
+                        v[s] = best(v[s], q) if c > c0 else q
                 continue
             acts = {s: row(s)}
         else:
