@@ -44,18 +44,24 @@ class Partition:
         return self.block_of[s] == self.block_of[t]
 
 
-def _signature(m: Mdp, s: int, block_of, offset=0):
-    """Canonical refinement key of state ``s`` of ``m``, whose states sit
-    ``offset`` further on in ``block_of``: action -> block-mass vector."""
-    fe, tg, wi, weights = m.first_edge, m.targets, m.weight_ids, m.weights
+def _layout(m: Mdp) -> tuple:
+    return (m.first_choice, m.choice_action, m.first_edge, m.targets, m.weight_ids,
+            m.weights, m.actions)
+
+
+def _signature(layout: tuple, s: int, block_of, offset=0):
+    """Canonical refinement key of state ``s`` of a model with the given
+    ``_layout``, whose states sit ``offset`` further on in ``block_of``:
+    action -> block-mass vector."""
+    fc, ca, fe, tg, wi, weights, actions = layout
     sig = []
-    for c in range(m.first_choice[s], m.first_choice[s + 1]):
+    for c in range(fc[s], fc[s + 1]):
         acc: dict[int, Fraction] = {}
         for e in range(fe[c], fe[c + 1]):
             b = block_of[tg[e] + offset]
             w = weights[wi[e]]
             acc[b] = acc[b] + w if b in acc else w
-        sig.append((m.actions[m.choice_action[c]], tuple(sorted(acc.items()))))
+        sig.append((actions[ca[c]], tuple(sorted(acc.items()))))
     sig.sort()
     return tuple(sig)
 
@@ -70,11 +76,11 @@ def _refine(models: Sequence[Mdp]) -> Partition:
     largest group) keep the old id, each other group gets a fresh one. It
     stops when no state moves. Blocks are numbered by smallest member.
     """
-    home, labels = [], []  # per state of the union: (model, offset)
+    home, labels = [], []  # per state of the union: (its model's layout, offset)
     preds: list[list[int]] = []
     for m in models:
         off = len(labels)
-        home += [(m, off)] * len(m.states)
+        home += [(_layout(m), off)] * len(m.states)
         labels += m.labels
         preds += [[] for _ in m.states]
         fc, fe, tg = m.first_choice, m.first_edge, m.targets
@@ -89,9 +95,9 @@ def _refine(models: Sequence[Mdp]) -> Partition:
     while dirty:
         touched: dict[int, dict] = {}
         for s in dirty:
-            m, off = home[s]
+            layout, off = home[s]
             groups = touched.setdefault(block_of[s], {})
-            groups.setdefault(_signature(m, s - off, block_of, off), []).append(s)
+            groups.setdefault(_signature(layout, s - off, block_of, off), []).append(s)
         moved = []
         for b, groups in touched.items():
             rest = size[b] - sum(map(len, groups.values()))
@@ -127,15 +133,16 @@ def quotient(m: Mdp, partition: Partition) -> Mdp:
     that disagree. Quotient states are valuations of a single ``block``
     variable.
     """
+    layout = _layout(m)
     for block in partition.blocks:
         rep = block[0]
-        rep_sig = _signature(m, rep, partition.block_of)
+        rep_sig = _signature(layout, rep, partition.block_of)
         for s in block[1:]:
             if m.labels[s] != m.labels[rep]:
                 raise NotBisimulationError(
                     f"states {rep} and {s} share a block but not labels",
                     counterexample=(rep, s))
-            if _signature(m, s, partition.block_of) != rep_sig:
+            if _signature(layout, s, partition.block_of) != rep_sig:
                 raise NotBisimulationError(
                     f"states {rep} and {s} share a block but have different "
                     f"block-level transition masses",

@@ -232,7 +232,7 @@ class MdpBuilder:
     def __init__(self):
         self.actions: list[str] = []
         self.weights: list[Fraction] = []
-        self._ids: dict = {}
+        self._ids: dict = {}  # names and masses never compare equal: one index serves both
         self.first_choice, self.first_edge = array("q", [0]), array("q", [0])
         self.choice_action, self.targets, self.weight_ids = array("i"), array("i"), array("i")
 
