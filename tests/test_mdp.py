@@ -103,16 +103,15 @@ class TestValidate:
         assert any("target 3" in p for p in validate(m))
 
 
-def _corrupted(field, value):
-    """A valid three-state model with one layout field replaced by ``value``.
+def _base_model():
+    """A valid three-state model; ``test_layout_of_the_base_model`` pins its layout."""
+    return make_mdp({0: {"a": {0: Fraction(1, 2), 1: Fraction(1, 2)}, "b": {2: 1}},
+                     1: {}, 2: {}})
 
-    Its layout: first_choice [0, 2, 2, 2], choice_action [0, 1],
-    first_edge [0, 2, 3], targets [0, 1, 2], weight_ids [0, 0, 1] and
-    weights (1/2, 1).
-    """
-    m = make_mdp({0: {"a": {0: Fraction(1, 2), 1: Fraction(1, 2)}, "b": {2: 1}},
-                  1: {}, 2: {}})
-    assert validate(m) == []
+
+def _corrupted(field, value):
+    """``validate``'s report on the base model with one layout field replaced."""
+    m = _base_model()
     setattr(m, field, array(getattr(m, field).typecode, value)
             if isinstance(value, list) else value)
     return validate(m)
@@ -122,8 +121,8 @@ class TestValidateLayout:
     """One hand-corrupted flat layout per invariant that ``validate`` checks."""
 
     def test_layout_of_the_base_model(self):
-        m = make_mdp({0: {"a": {0: Fraction(1, 2), 1: Fraction(1, 2)}, "b": {2: 1}},
-                      1: {}, 2: {}})
+        m = _base_model()
+        assert validate(m) == []
         assert (list(m.first_choice), list(m.choice_action), list(m.first_edge),
                 list(m.targets), list(m.weight_ids), m.weights, m.actions) == (
             [0, 2, 2, 2], [0, 1], [0, 2, 3], [0, 1, 2], [0, 0, 1],
@@ -399,6 +398,7 @@ def random_module(rng: random.Random) -> TemplateModule:
     for _ in range(rng.randint(1, 6)):
         branches = []
         for w in rng.choice(patterns):
+            # "=" twice as often as "+ 1", which leaves the range from the top
             update = atoms(("=", "=", "+"), lambda d: rng.randint(0, d.high))
             update = tuple((v, op, 1 if op == "+" else k) for v, op, k in update)
             branches.append(Branch(w, update if rng.random() < 0.7 else ()))
@@ -407,19 +407,18 @@ def random_module(rng: random.Random) -> TemplateModule:
                           labels={"p": guard(), "q": guard()})
 
 
-def _grid_modules():
-    for name, params, attacker in build_grid():
-        for reduced in (False, True) if params.c >= params.n else (False,):
-            yield (f"{name}-{'reduced' if reduced else 'full'}", compose_templates(
-                build_client(params, reduced=reduced), build_intruder(params, attacker),
-                {"busy"}))
+GRID_MODULES = [
+    (f"{name}-{'reduced' if reduced else 'full'}", compose_templates(
+        build_client(params, reduced=reduced), build_intruder(params, attacker), {"busy"}))
+    for name, params, attacker in build_grid()
+    for reduced in ((False, True) if params.c >= params.n else (False,))]
 
 
 class TestExpandMatchesReference:
     """The dispatched, flat ``expand`` against the dict-row reference loop."""
 
-    @pytest.mark.parametrize("name, module", list(_grid_modules()),
-                             ids=[name for name, _ in _grid_modules()])
+    @pytest.mark.parametrize("name, module", GRID_MODULES,
+                             ids=[name for name, _ in GRID_MODULES])
     def test_grid_models(self, name, module):
         got, m = _expanded(module)
         assert got == _outcome(module)
