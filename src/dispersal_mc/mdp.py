@@ -37,10 +37,10 @@ class Distribution:
     """Finitely supported probability mass over integer-indexed outcomes.
 
     Masses are exact rationals; zero entries are dropped and repeated
-    outcomes merged, so this is the one place where masses are summed. The
-    total is not forced to 1 at construction so that diagnostics can inspect
-    broken distributions; use :meth:`is_probability` where it matters. Masses
-    are read through :meth:`items`, sorted by outcome.
+    outcomes merged. Holds initial distributions, channel routing and remaps.
+    The total is not forced to 1 at construction so that diagnostics can
+    inspect broken distributions; use :meth:`is_probability` where it
+    matters. Masses are read through :meth:`items`, sorted by outcome.
     """
 
     __slots__ = ("_items",)
