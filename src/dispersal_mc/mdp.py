@@ -363,14 +363,27 @@ def validate(m: Mdp) -> list[str]:
     return problems
 
 
+def is_forward(m: Mdp, absorbing: frozenset[int] = frozenset()) -> bool:
+    """Whether every edge out of a state not in ``absorbing`` goes to a later state
+    (targets ascend, so each choice's first edge decides). Breadth-first
+    expansion numbers every model with ``c >= n`` this way."""
+    fc, fe, tg = m.first_choice, m.first_edge, m.targets
+    return all(tg[fe[c]] > s for s in range(len(m.states)) if s not in absorbing
+               for c in range(fc[s], fc[s + 1]))
+
+
 def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
     """Yield the strongly connected components of the transition graph, sinks first.
 
-    Iterative Tarjan: a component is yielded only after every component it can
-    reach, so a consumer may solve each one from the values of those before
-    it. States in ``absorbing`` are treated as having no successors.
+    A component is yielded only after every component it can reach, so a consumer
+    may solve each one from those before it. States in ``absorbing`` have no
+    successors. A forward model (:func:`is_forward`) yields its states one by one
+    in reverse index order; any other model takes an iterative Tarjan pass.
     """
     n = len(m.states)
+    if is_forward(m, absorbing):
+        yield from ([s] for s in reversed(range(n)))
+        return
     fc, fe, tg = m.first_choice, m.first_edge, m.targets
     index = [0] * n  # DFS number from 1; 0 marks an unvisited state
     low = [0] * n
@@ -463,30 +476,37 @@ def expand(module: TemplateModule) -> Mdp:
         compiled.append((t.action, _intervals(t.guard, pos, ranges), branches))
     label_tests = [(prop, _intervals(g, pos, ranges)) for prop, g in module.labels.items()]
 
+    items = [c[1] for c in compiled] + [tests for _, tests in label_tests]
     cuts: dict[int, set[int]] = {}
-    for tests in [c[1] for c in compiled] + [tests for _, tests in label_tests]:
+    for tests in items:
         for p, low, high in tests:
             cuts.setdefault(p, set()).update((low, high + 1))
     tested = sorted(cuts)
     cut_lists = [sorted(cuts[p]) for p in tested]
     pick = itemgetter(*tested) if len(tested) > 1 else lambda s: tuple(s[p] for p in tested)
+    # Bit b of masks[j][i]: item b (templates, then labels) admits interval i of
+    # position tested[j], whose values are below cuts[0] (i = 0) or from cuts[i - 1].
+    masks = [[sum(1 << b for b, tests in enumerate(items)
+                  if all(low <= x <= high for q, low, high in tests if q == p))
+              for x in [cl[0] - 1] + cl] for p, cl in zip(tested, cut_lists)]
 
-    def passes(s, tests):
-        return all(low <= s[p] <= high for p, low, high in tests)
-
-    def classify(s):
-        """The templates enabled in ``s``'s class up to a second one for an
-        action, that action (or None) and the class's label."""
+    def classify(key):
+        """The templates enabled in interval class ``key`` up to a second one
+        for an action, that action (or None) and the class's label."""
+        bits = -1
+        for row, i in zip(masks, key):
+            bits &= row[i]
         enabled, seen, clash = [], set(), None
-        for action, guard, branches in compiled:
-            if passes(s, guard):
+        for b, (action, _, branches) in enumerate(compiled):
+            if bits >> b & 1:
                 if action in seen:
                     clash = action
                     break
                 seen.add(action)
                 enabled.append((action, branches))
-        return enabled, clash, frozenset(prop for prop, tests in label_tests
-                                         if passes(s, tests))
+        bits >>= len(compiled)
+        return enabled, clash, frozenset(prop for b, (prop, _) in enumerate(label_tests)
+                                         if bits >> b & 1)
 
     cap = STATE_CAP
     init_key = tuple(d.init for d in module.variables)
@@ -498,7 +518,7 @@ def expand(module: TemplateModule) -> Mdp:
         key = tuple(map(bisect_right, cut_lists, pick(s)))
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = classify(s)
+            hit = memo[key] = classify(key)
         enabled, clash, label = hit
         labels.append(label)
         row = []

@@ -4,6 +4,9 @@ One engine serves floats (``solve_reach``) and exact ``Fraction``s
 (``exact_reach``). It solves the strongly connected components sinks first
 (topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no value
 depends on a stopping rule; floats differ from exact values by rounding only.
+On a model whose discovery order is topological (every ``c >= n`` model) the
+components are its states in reverse index order, found without a Tarjan pass,
+and a state with one choice takes one backup for both directions.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
 
     Targets are absorbing, so each is an SCC of its own. Unsolved entries
     hold the integer 0, which is also the value of a state without actions.
+    A singleton with one choice whose successors agree in every list is
+    backed up once, and every list takes that number.
     """
     if target not in m.ap:
         raise QueryError(f"proposition {target!r} is not in the model's alphabet")
@@ -77,6 +82,7 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
                 for c in range(fc[s], fc[s + 1])]
 
     values = [[0] * len(m.states) for _ in bests]
+    lo, hi = values[0], values[-1]
     rounds = 0
     for scc in sccs(m, targets):
         if len(scc) == 1:
@@ -86,12 +92,16 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
                     v[s] = one
                 continue
             c0, c1 = fc[s], fc[s + 1]
-            if s not in tg[fe[c0]:fe[c1]]:
-                for v, best in zip(values, bests):
+            succ = tg[fe[c0]:fe[c1]]
+            if s not in succ:
+                shared = c1 == c0 + 1 and all([lo[t] == hi[t] for t in succ])
+                for v, best in zip(values[:1] if shared else values, bests):
                     for c in range(c0, c1):
                         q = sum([table[wi[e]] * v[tg[e]]
                                  for e in range(fe[c], fe[c + 1]) if v[tg[e]]])
                         v[s] = best(v[s], q) if c > c0 else q
+                if shared:
+                    hi[s] = lo[s]
                 continue
             acts = {s: row(s)}
         else:

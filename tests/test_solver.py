@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from dispersal_mc import ModelParams, build_composed, uniform_probabilities
-from dispersal_mc.mdp import sccs
+from acceptance_grid import build_grid
+from dispersal_mc.mdp import is_forward, sccs
 from dispersal_mc.models import HACKED
 from dispersal_mc.solver import QueryError, exact_reach, solve_reach
 from helpers import make_mdp, random_mdp, random_params, value_iteration
@@ -158,3 +159,107 @@ class TestEndComponents:
                               1: {}}, labels={1: ("goal",)})
         assert self.solved(with_stay) == (0, 1)
 
+
+
+def random_forward_rows(rng: random.Random, max_states=10):
+    """Rows of a random MDP in which every edge out of a non-``g`` state goes
+    to a later state: 0-3 choices per state, and ``g`` states with edges
+    anywhere. Returns ``(transitions, labels, n)`` for ``make_mdp``."""
+    n = rng.randint(2, max_states)
+    transitions, labels = {}, {}
+    for s in range(n):
+        goal = rng.random() < 0.25
+        pool = range(n) if goal else range(s + 1, n)
+        row = {}
+        for action in "abc"[:rng.randint(0, 3) if pool else 0]:
+            succ = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+            parts = [rng.randint(1, 4) for _ in succ]
+            row[action] = {t: F(k, sum(parts)) for t, k in zip(succ, parts)}
+        transitions[s] = row
+        if goal:
+            labels[s] = ("g",)
+    return transitions, labels, n
+
+
+def with_back_edge(transitions, labels, n):
+    """The same model plus an unreachable state ``n`` with an edge back to 0."""
+    return make_mdp({**transitions, n: {"a": {0: 1}}}, labels=labels,
+                    num_states=n + 1, ap=("g",))
+
+
+class TestForwardOrder:
+    """Models whose discovery order is topological skip the Tarjan pass, and
+    their single-choice states take one backup for both directions."""
+
+    @staticmethod
+    def models(seed, count=300):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rows = random_forward_rows(rng)
+            yield make_mdp(rows[0], labels=rows[1], num_states=rows[2], ap=("g",)), rows
+
+    def test_agrees_with_value_iteration(self):
+        split = several = goal_edges = 0
+        for m, (transitions, labels, _) in self.models(41):
+            assert is_forward(m, frozenset(m.states_with("g")))
+            res = solve_reach(m, "g")
+            split += res.pmin != res.pmax
+            several += any(len(row) > 1 for row in transitions.values())
+            goal_edges += any(transitions[s] for s in labels)
+            assert res.iterations == 0
+            for direction, value in (("min", res.pmin), ("max", res.pmax)):
+                exact = exact_reach(m, "g", direction)
+                assert abs(value - float(exact)) <= 1e-12
+                assert abs(value - value_iteration(m, "g", direction)) <= 1e-9
+        assert split >= 50 and several >= 100 and goal_edges >= 100
+
+    def test_tarjan_gives_the_same_numbers(self):
+        for m, rows in self.models(43):
+            back = with_back_edge(*rows)
+            assert not is_forward(back, frozenset(back.states_with("g")))
+            fast, slow = solve_reach(m, "g"), solve_reach(back, "g")
+            assert (fast.pmin, fast.pmax, fast.iterations) == \
+                (slow.pmin, slow.pmax, slow.iterations)
+            for direction in ("min", "max"):
+                assert exact_reach(m, "g", direction) == exact_reach(back, "g", direction)
+
+    def test_sccs_are_sinks_first_on_both_paths(self):
+        for m, rows in self.models(47, count=100):
+            for model in (m, with_back_edge(*rows)):
+                goal = frozenset(model.states_with("g"))
+                order = list(sccs(model, goal))
+                assert sorted(s for c in order for s in c) == list(range(model.state_count))
+                done = set()
+                for comp in order:
+                    for s in comp:
+                        if s not in goal:
+                            for _, pairs in model.choices(s):
+                                assert all(t in done or t in comp for t, _ in pairs)
+                    done.update(comp)
+            forward = list(sccs(m, frozenset(m.states_with("g"))))
+            assert forward == [[s] for s in reversed(range(m.state_count))]
+
+    def test_a_back_edge_in_any_choice_needs_tarjan(self):
+        # state 1's second choice leads back to 0; the goal's own edge back
+        # to 0 does not count, since targets are absorbing
+        rows = {0: {"a": {1: 1}}, 1: {"a": {2: 1}, "b": {0: F(1, 2), 3: F(1, 2)}},
+                2: {"a": {0: 1}}, 3: {}}
+        m = make_mdp(rows, labels={2: ("g",)})
+        assert not is_forward(m, frozenset({2}))
+        assert [sorted(c) for c in sccs(m, frozenset({2}))] == [[2], [3], [0, 1]]
+        assert (exact_reach(m, "g", "min"), exact_reach(m, "g", "max")) == (0, 1)
+        del rows[1]["b"]
+        m = make_mdp(rows, labels={2: ("g",)})
+        assert is_forward(m, frozenset({2})) and not is_forward(m)
+
+    def test_grid_models_with_spare_capacity_are_forward(self):
+        # Every c >= n model is acyclic, and breadth-first expansion numbers
+        # it so that no Tarjan pass is needed to solve it.
+        count = 0
+        for _, params, attacker in build_grid():
+            if params.c >= params.n:
+                for reduced in (False, True):
+                    m = build_composed(params, attacker, reduced=reduced)
+                    assert is_forward(m, frozenset(m.states_with(HACKED)))
+                    count += 1
+        assert count == 112
