@@ -5,8 +5,9 @@ One engine serves floats (``solve_reach``) and exact ``Fraction``s
 (topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no value
 depends on a stopping rule; floats differ from exact values by rounding only.
 On a model whose discovery order is topological (every ``c >= n`` model) the
-components are its states in reverse index order, found without a Tarjan pass,
-and a state with one choice takes one backup for both directions.
+components are its states in reverse index order, found without a Tarjan pass.
+A state with one choice whose successors agree in both directions is backed
+up once for both.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
 
     Targets are absorbing, so each is an SCC of its own. Unsolved entries
     hold the integer 0, which is also the value of a state without actions.
-    A singleton with one choice whose successors agree in every list is
-    backed up once, and every list takes that number.
     """
     if target not in m.ap:
         raise QueryError(f"proposition {target!r} is not in the model's alphabet")
@@ -94,6 +93,7 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
             c0, c1 = fc[s], fc[s + 1]
             succ = tg[fe[c0]:fe[c1]]
             if s not in succ:
+                # one choice takes no best: where the successors agree, one backup serves all
                 shared = c1 == c0 + 1 and all([lo[t] == hi[t] for t in succ])
                 for v, best in zip(values[:1] if shared else values, bests):
                     for c in range(c0, c1):
