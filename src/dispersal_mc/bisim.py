@@ -80,11 +80,11 @@ def _refine(models: Sequence[Mdp]) -> Partition:
     preds: list[list[int]] = []
     for m in models:
         off = len(labels)
-        home += [(_layout(m), off)] * len(m.states)
+        home += [(_layout(m), off)] * m.state_count
         labels += m.labels
-        preds += [[] for _ in m.states]
+        preds += [[] for _ in range(m.state_count)]
         fc, fe, tg = m.first_choice, m.first_edge, m.targets
-        for s in range(len(m.states)):
+        for s in range(m.state_count):
             for t in tg[fe[fc[s]]:fe[fc[s + 1]]]:
                 preds[t + off].append(s + off)
     label_id: dict = {}
@@ -152,8 +152,8 @@ def quotient(m: Mdp, partition: Partition) -> Mdp:
         rows.add_state([(action, [(partition.block_of[t], rows.weight_id(w)) for t, w in pairs])
                         for action, pairs in m.choices(block[0])])
     initial = m.initial.remap(lambda s: partition.block_of[s])
-    return Mdp(("block",), [(b,) for b in range(partition.num_blocks)], initial,
-               [m.labels[block[0]] for block in partition.blocks], rows, ap=m.ap)
+    return Mdp(("block",), ((0, partition.num_blocks - 1),), list(range(partition.num_blocks)),
+               initial, [m.labels[block[0]] for block in partition.blocks], rows, ap=m.ap)
 
 
 @dataclass
@@ -175,7 +175,7 @@ def bisimilar(m1: Mdp, m2: Mdp) -> BisimResult:
     if m1.ap != m2.ap:
         return BisimResult(False, f"proposition alphabets differ: "
                                   f"{sorted(m1.ap)} vs {sorted(m2.ap)}", 0)
-    offset = len(m1.states)
+    offset = m1.state_count
     part = _refine([m1, m2])
     block_of = part.block_of
     init1 = m1.initial.remap(lambda s: block_of[s])
@@ -220,18 +220,7 @@ class AbstractionReport:
     counterexample: tuple[int, int] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "equivalent": self.equivalent,
-            "bisimilar": self.bisimilar,
-            "witness_contained": self.witness_contained,
-            "reason": self.reason,
-            "blocks": self.blocks,
-            "states": list(self.states),
-            "transitions": list(self.transitions),
-            "probes": self.probes,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-        }
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
 
 
 def _probe(model: Mdp) -> dict:
@@ -240,12 +229,12 @@ def _probe(model: Mdp) -> dict:
 
 
 def _verify(claim: str, sides: dict[str, Mdp],
-            witness: dict[str, Callable[[tuple[int, ...]], Hashable]]) -> AbstractionReport:
+            witness: dict[str, Callable[[int], Hashable]]) -> AbstractionReport:
     """Decide bisimilarity of the two models in ``sides`` (name -> model) and
     check that states with equal witness keys share a block.
 
     ``witness`` maps each side name to the function that reads a state's key
-    off its state tuple. Keys are computed only after refinement has returned,
+    off its state code. Keys are computed only after refinement has returned,
     so they never add to its memory peak.
     """
     (_, m1), (_, m2) = sides.items()
@@ -254,7 +243,7 @@ def _verify(claim: str, sides: dict[str, Mdp],
     if res.partition is not None:
         contained, pair = witness_contained(
             res.partition,
-            (witness[side](s) for side, m in sides.items() for s in m.states))
+            (witness[side](code) for side, m in sides.items() for code in m.codes))
     return AbstractionReport(
         claim=claim, equivalent=res.equivalent and contained, bisimilar=res.equivalent,
         witness_contained=contained, reason=res.reason, blocks=res.blocks,
@@ -263,29 +252,21 @@ def _verify(claim: str, sides: dict[str, Mdp],
         probes={side: _probe(m) for side, m in sides.items()}, counterexample=pair)
 
 
-def _projection(model: Mdp, names: Sequence[str]) -> Callable[[tuple[int, ...]], tuple]:
-    """Read the values of ``names``, in that order, off a state tuple of ``model``."""
-    positions = [model.variables.index(v) for v in names]
-    return lambda s: tuple(s[i] for i in positions)
-
-
-def _channel_witness(model: Mdp, sizes: Sequence[int]) -> Callable[[tuple[int, ...]], tuple]:
+def _channel_witness(model: Mdp, sizes: Sequence[int]) -> Callable[[int], tuple]:
     """Witness key of a channel system whose channels hold ``sizes`` servers:
     the shared variables, the recipient's channel (0 = none) and each
     channel's occupancy sum."""
     channel_of = [0]
     for idx, size in enumerate(sizes, start=1):
         channel_of.extend([idx] * size)
-    shared = _projection(model, ("pc_c", "ctr_c", "pc_a", "ctr_a"))
-    recipient = model.variables.index("s_c")
-    counters = [(channel_of[j] - 1, model.variables.index(f"ctr_c_{j}"))
-                for j in range(1, len(channel_of))]
+    shared = model.reader(("pc_c", "ctr_c", "pc_a", "ctr_a"))
+    recipient = model.reader(("s_c",))
+    counters = [model.reader([f"ctr_c_{j}" for j in range(1, len(channel_of))
+                              if channel_of[j] == ch]) for ch in range(1, len(sizes) + 1)]
 
-    def key(s: tuple[int, ...]) -> tuple:
-        sums = [0] * len(sizes)
-        for ch, i in counters:
-            sums[ch] += s[i]
-        return (*shared(s), channel_of[s[recipient]], tuple(sums))
+    def key(code: int) -> tuple:
+        return (*shared(code), channel_of[recipient(code)[0]],
+                tuple(sum(read(code)) for read in counters))
 
     return key
 
@@ -342,4 +323,4 @@ def verify_capacity_abstraction(params: ModelParams) -> AbstractionReport:
              for name in ("full", "reduced")}
     shared = sides["reduced"].variables
     return _verify("capacity-abstraction", sides,
-                   {name: _projection(m, shared) for name, m in sides.items()})
+                   {name: m.reader(shared) for name, m in sides.items()})

@@ -9,12 +9,13 @@ templates. Parallel composition acts on templates, before expansion
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from bisect import bisect_right
+from collections import deque
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping
 
 
 # Exploration refuses to index more states than this.
@@ -247,27 +248,58 @@ class MdpBuilder:
         return self._intern(self.weights, mass)
 
     def add_state(self, choices: list[tuple[str, list[tuple[int, int]]]]) -> None:
-        """Append the next state's choices, each ``(action, pairs)``; the
+        """Append the next state's choices, each ``(action, pairs)``."""
+        for action, pairs in choices:
+            self.add_choice(self._intern(self.actions, action), pairs)
+        self.first_choice.append(len(self.choice_action))
+
+    def add_choice(self, aid: int, pairs: list[tuple[int, int]]) -> None:
+        """Append a choice of action id ``aid`` to the state being built; its
         ``(target, weight id)`` pairs may repeat a target and come in any order."""
         targets, ids, weights = self.targets, self.weight_ids, self.weights
-        for action, pairs in choices:
-            pairs.sort()
-            last = -1
-            for t, w in pairs:
-                if t == last:
-                    ids[-1] = self.weight_id(weights[ids[-1]] + weights[w])
-                else:
-                    targets.append(t)
-                    ids.append(w)
-                    last = t
-            self.choice_action.append(self._intern(self.actions, action))
-            self.first_edge.append(len(targets))
-        self.first_choice.append(len(self.choice_action))
+        pairs.sort()
+        last = -1
+        for t, w in pairs:
+            if t == last:
+                ids[-1] = self.weight_id(weights[ids[-1]] + weights[w])
+            else:
+                targets.append(t)
+                ids.append(w)
+                last = t
+        self.choice_action.append(aid)
+        self.first_edge.append(len(targets))
+
+
+def radices(ranges) -> list[int]:
+    """Each position's place value in a state code: the product of the earlier range sizes."""
+    return [math.prod(high - low + 1 for low, high in ranges[:p]) for p in range(len(ranges))]
+
+
+def decode(code: int, ranges) -> tuple[int, ...]:
+    """The valuation, over the ``(low, high)`` ranges, whose state code is ``code``."""
+    return tuple(code // r % (high - low + 1) + low
+                 for r, (low, high) in zip(radices(ranges), ranges))
+
+
+class _Valuations(Sequence):
+    """A model's state valuations, each decoded only when it is read."""
+
+    def __init__(self, m: "Mdp"):
+        self.m = m
+
+    def __len__(self) -> int:
+        return self.m.state_count
+
+    def __getitem__(self, s: int) -> tuple[int, ...]:
+        return decode(self.m.codes[s], self.m.ranges)
 
 
 class Mdp:
     """An explicit-state MDP over valuations of bounded integer variables.
 
+    State ``s`` is one integer, ``codes[s]``: the code sum((x_p - low_p) * r_p) of
+    its valuation over the declared ``ranges``, with r_p from :func:`radices`.
+    :attr:`states` decodes valuations on access; :meth:`reader` reads digits.
     Transitions are stored flat, as in sparse matrices with row groups (Hensel
     et al., "The probabilistic model checker Storm", STTT 24, 2022): state
     ``s`` owns the choices ``first_choice[s]`` up to ``first_choice[s + 1]``,
@@ -278,12 +310,11 @@ class Mdp:
     built; any number of concurrent readers is safe.
     """
 
-    __slots__ = ("variables", "states", "initial", "labels", "ap", "actions", "weights",
+    __slots__ = ("variables", "ranges", "codes", "initial", "labels", "ap", "actions", "weights",
                  "first_choice", "choice_action", "first_edge", "targets", "weight_ids")
 
-    def __init__(self, variables, states, initial, labels, rows: MdpBuilder, ap=None):
-        self.variables = tuple(variables)
-        self.states = [tuple(s) for s in states]
+    def __init__(self, variables, ranges, codes, initial, labels, rows: MdpBuilder, ap=None):
+        self.variables, self.ranges, self.codes = tuple(variables), tuple(ranges), codes
         self.initial = initial if isinstance(initial, Distribution) else Distribution(initial)
         self.labels = [frozenset(lab) for lab in labels]
         self.ap = frozenset(ap) if ap is not None else frozenset().union(*self.labels)
@@ -291,12 +322,24 @@ class Mdp:
         self.first_choice, self.choice_action, self.first_edge = (
             rows.first_choice, rows.choice_action, rows.first_edge)
         self.targets, self.weight_ids = rows.targets, rows.weight_ids
-        if not len(self.states) == len(self.first_choice) - 1 == len(self.labels):
-            raise ModelError("states, transition rows and labels must have equal length")
+        if not len(codes) == len(self.first_choice) - 1 == len(self.labels):
+            raise ModelError("state codes, transition rows and labels must have equal length")
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    @property
+    def states(self) -> Sequence[tuple[int, ...]]:
+        return _Valuations(self)
+
+    def reader(self, names: Sequence[str]) -> Callable[[int], tuple[int, ...]]:
+        """A function from a state code to the values of ``names``, in that
+        order, that reads only their digits."""
+        places = radices(self.ranges)
+        digits = [(places[i], high - low + 1, low) for i in map(self.variables.index, names)
+                  for low, high in [self.ranges[i]]]
+        return lambda code: tuple([code // r % n + low for r, n, low in digits])
 
     @property
     def transition_count(self) -> int:
@@ -314,22 +357,28 @@ class Mdp:
         return [i for i, lab in enumerate(self.labels) if prop in lab]
 
     def __repr__(self) -> str:
-        return f"<Mdp {len(self.states)} states, {self.transition_count} transitions>"
+        return f"<Mdp {self.state_count} states, {self.transition_count} transitions>"
 
 
 def validate(m: Mdp) -> list[str]:
     """Check the defining invariants of an MDP, returning one message per violation.
 
-    An empty list means: the initial distribution sums to exactly 1 over
+    An empty list means: state codes are distinct and each decodes inside
+    the declared ranges, the initial distribution sums to exactly 1 over
     states, every table mass is positive, both offset arrays rise from 0 to
     the length of the arrays they index, action and weight ids index their
     tables, and each choice's targets are states in strictly increasing
     order whose masses sum to exactly 1. A broken offset array or action id
     ends the check, since the choices cannot be walked.
     """
-    n, fc, fe, tg, wi = len(m.states), m.first_choice, m.first_edge, m.targets, m.weight_ids
+    n, fc, fe, tg, wi = m.state_count, m.first_choice, m.first_edge, m.targets, m.weight_ids
+    size, first = math.prod(high - low + 1 for low, high in m.ranges), {}
+    problems = [f"state {s}: code {c} is outside the declared ranges"
+                for s, c in enumerate(m.codes) if not 0 <= c < size]
+    problems += [f"state {s}: code {c} repeats state {first[c]}"
+                 for s, c in enumerate(m.codes) if first.setdefault(c, s) != s]
     total = m.initial.total()
-    problems = [f"initial distribution: mass {total} != 1"] if total != 1 else []
+    problems += [f"initial distribution: mass {total} != 1"] if total != 1 else []
     problems += [f"initial distribution: target {t} is not a state"
                  for t in m.initial.support if not 0 <= t < n]
     problems += [f"weight table: mass {w} is not positive" for w in m.weights if w <= 0]
@@ -368,7 +417,7 @@ def is_forward(m: Mdp, absorbing: frozenset[int] = frozenset()) -> bool:
     (targets ascend, so each choice's first edge decides). Breadth-first
     expansion numbers every model with ``c >= n`` this way."""
     fc, fe, tg = m.first_choice, m.first_edge, m.targets
-    return all(tg[fe[c]] > s for s in range(len(m.states)) if s not in absorbing
+    return all(tg[fe[c]] > s for s in range(m.state_count) if s not in absorbing
                for c in range(fc[s], fc[s + 1]))
 
 
@@ -380,7 +429,7 @@ def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
     successors. A forward model (:func:`is_forward`) yields its states one by one
     in reverse index order; any other model takes an iterative Tarjan pass.
     """
-    n = len(m.states)
+    n = m.state_count
     if is_forward(m, absorbing):
         yield from ([s] for s in reversed(range(n)))
         return
@@ -416,32 +465,18 @@ def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
                     low[work[-1][0]] = low[s]
                 if low[s] == index[s]:
                     comp = []
-                    while True:
-                        t = stack.pop()
-                        on_stack[t] = 0
-                        comp.append(t)
-                        if t == s:
-                            break
+                    while not comp or comp[-1] != s:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = 0
                     yield comp
 
 
 def _intervals(guard, pos: dict[str, int], ranges) -> tuple[tuple[int, int, int], ...]:
-    """Compile guard atoms into ``(position, low, high)`` tests on a state tuple.
-
-    Within a variable's declared range, ``x < k`` is ``low <= x <= k - 1`` and
-    ``x >= k`` is ``k <= x <= high``.
-    """
-    tests = []
-    for var, op, k in guard:
-        i = pos[var]
-        low, high = ranges[i]
-        if op == "=":
-            tests.append((i, k, k))
-        elif op == "<":
-            tests.append((i, low, k - 1))
-        else:
-            tests.append((i, k, high))
-    return tuple(tests)
+    """Compile guard atoms into ``(position, low, high)`` tests: within a variable's
+    declared range, ``x < k`` is ``low <= x <= k - 1`` and ``x >= k`` is ``k <= x <= high``."""
+    return tuple((pos[var], ranges[pos[var]][0] if op == "<" else k,
+                  k if op == "=" else k - 1 if op == "<" else ranges[pos[var]][1])
+                 for var, op, k in guard)
 
 
 def expand(module: TemplateModule) -> Mdp:
@@ -452,102 +487,131 @@ def expand(module: TemplateModule) -> Mdp:
     a fixed template ordering. States carry the module's labels, and the
     model's atomic propositions are the label names.
 
-    Guards and labels are tested once per interval class, not once per
-    state: the cut points of a tested position are each test's low and
-    high + 1, so values between two cuts pass the same tests. The enabled
-    templates, in template order, and the label are memoised per class.
+    States are codes (see :class:`Mdp`), tested once per interval class: a
+    position is cut at each test's low and high + 1 and, for a ``+k`` write,
+    at low - k and high - k + 1, so values between two cuts pass the same
+    tests and leave the range together. A class memoises its label and, per
+    enabled template, the action id and each branch's code delta. A
+    successor's code is its parent's plus the delta and its class its
+    parent's with the written positions moved. Digits are read only for an
+    ``=k`` write to a position the class does not pin and, at a new state,
+    for a ``+k`` write that may cross a cut.
     """
-    names = module.var_names
     missing = list(module.reads)
     if missing:
         raise ModelError(
             f"module {module.name}: unresolved foreign reads {missing}; compose first")
-    pos = {name: i for i, name in enumerate(names)}
-    ranges = [(d.low, d.high) for d in module.variables]
-    rows = MdpBuilder()
-    compiled = []
+    names, ranges = module.var_names, [(d.low, d.high) for d in module.variables]
+    pos, place, rows = {name: i for i, name in enumerate(names)}, radices(ranges), MdpBuilder()
+    compiled, cuts = [], {}
     for t in module.templates:
         # A successor reached only with mass 0 must not be explored, so zero
         # branches go here.
-        branches = tuple(
-            (rows.weight_id(b.weight),
-             tuple((pos[var], op == "+", k, *ranges[pos[var]]) for var, op, k in b.update))
-            for b in t.branches if b.weight != 0)
+        branches = tuple((rows.weight_id(b.weight), tuple(
+            (pos[var], op == "+", k) for var, op, k in b.update)) for b in t.branches if b.weight)
+        for p, _, k in (atom for _, update in branches for atom in update if atom[1]):
+            cuts.setdefault(p, set()).update((ranges[p][0] - k, ranges[p][1] - k + 1))
         compiled.append((t.action, _intervals(t.guard, pos, ranges), branches))
     label_tests = [(prop, _intervals(g, pos, ranges)) for prop, g in module.labels.items()]
-
     items = [c[1] for c in compiled] + [tests for _, tests in label_tests]
-    cuts: dict[int, set[int]] = {}
-    for tests in items:
-        for p, low, high in tests:
-            cuts.setdefault(p, set()).update((low, high + 1))
+    for p, low, high in (test for tests in items for test in tests):
+        cuts.setdefault(p, set()).update((low, high + 1))
     tested = sorted(cuts)
-    cut_lists = [sorted(cuts[p]) for p in tested]
-    pick = itemgetter(*tested) if len(tested) > 1 else lambda s: tuple(s[p] for p in tested)
+    slot, cut_lists = {p: j for j, p in enumerate(tested)}, [sorted(cuts[p]) for p in tested]
+    # A class id has one mixed-radix digit per tested position, its interval index.
     # Bit b of masks[j][i]: item b (templates, then labels) admits interval i of
     # position tested[j], whose values are below cuts[0] (i = 0) or from cuts[i - 1].
+    scale = radices([(0, len(cl)) for cl in cut_lists])
     masks = [[sum(1 << b for b, tests in enumerate(items)
                   if all(low <= x <= high for q, low, high in tests if q == p))
               for x in [cl[0] - 1] + cl] for p, cl in zip(tested, cut_lists)]
 
-    def classify(key):
-        """The templates enabled in interval class ``key`` up to a second one
-        for an action, that action (or None) and the class's label."""
-        bits = -1
-        for row, i in zip(masks, key):
+    def classify(cid):
+        """Class ``cid``'s label, its choices ``(action id, branches)`` and
+        the exception, as a function of the code, that ends expansion in it (or None)."""
+        key = [cid // r % (len(cl) + 1) for r, cl in zip(scale, cut_lists)]
+        bits, span = -1, list(ranges)  # span: the values each position takes in the class
+        for p, cl, i, row in zip(tested, cut_lists, key, masks):
             bits &= row[i]
-        enabled, seen, clash = [], set(), None
+            span[p] = (max(span[p][0], cl[i - 1]) if i else span[p][0],
+                       min(span[p][1], cl[i] - 1) if i < len(cl) else span[p][1])
+        choices, seen, fail = [], set(), None
         for b, (action, _, branches) in enumerate(compiled):
-            if bits >> b & 1:
-                if action in seen:
-                    clash = action
-                    break
-                seen.add(action)
-                enabled.append((action, branches))
-        bits >>= len(compiled)
-        return enabled, clash, frozenset(prop for b, (prop, _) in enumerate(label_tests)
-                                         if bits >> b & 1)
-
-    cap = STATE_CAP
-    init_key = tuple(d.init for d in module.variables)
-    states: list[tuple[int, ...]] = [init_key]
-    index: dict[tuple[int, ...], int] = {init_key: 0}
-    labels: list[frozenset[str]] = []
-    memo: dict[tuple[int, ...], tuple] = {}
-    for s in states:  # a list iterator also visits the states appended below
-        key = tuple(map(bisect_right, cut_lists, pick(s)))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = classify(key)
-        enabled, clash, label = hit
-        labels.append(label)
-        row = []
-        for action, branches in enabled:
-            pairs = []
+            if not bits >> b & 1:
+                continue
+            if action in seen:
+                fail = lambda code: ModelError(f"module {module.name}: two templates for action "
+                                               f"{action!r} enabled in state {decode(code, ranges)}")
+                break
+            seen.add(action)
+            plan = []
             for wid, update in branches:
-                nv = list(s)
-                for p, add, k, low, high in update:
-                    val = nv[p] + k if add else k
-                    if not low <= val <= high:
-                        raise ExplorationError(
-                            f"variable {names[p]!r} left its range [{low}, {high}] "
-                            f"with value {val}")
-                    nv[p] = val
-                succ = tuple(nv)
-                j = index.get(succ)
+                delta, cdelta, sets, shifts = 0, 0, (), ()
+                for p, add, k in update:
+                    (lo, hi), (low, high), j = span[p], ranges[p], slot.get(p)
+                    new = (lo + k, hi + k) if add else (k, k)
+                    if not low <= new[0] <= high:
+                        fail = lambda code: ExplorationError(
+                            f"variable {names[p]!r} left its range [{low}, {high}] with value "
+                            f"{code // place[p] % (high - low + 1) + low + k if add else k}")
+                        break
+                    if lo == hi or add:
+                        delta += (new[0] - lo) * place[p]
+                    else:
+                        sets += ((place[p], high - low + 1, k - low),)
+                    if j is None:
+                        continue
+                    i = bisect_right(cut_lists[j], new[0])
+                    if i == bisect_right(cut_lists[j], new[1]):
+                        cdelta += (i - key[j]) * scale[j]
+                    else:
+                        cdelta -= key[j] * scale[j]
+                        shifts += ((place[p], high - low + 1, low, cut_lists[j], scale[j]),)
+                if fail:
+                    break
+                plan.append((delta, wid, cdelta, sets, shifts))
+            choices.append((rows._intern(rows.actions, action), plan))
+            if fail:
+                break
+        bits >>= len(compiled)
+        return frozenset(prop for b, (prop, _) in enumerate(label_tests)
+                         if bits >> b & 1), choices, fail
+
+    cap, codes = STATE_CAP, [sum((d.init - d.low) * r for d, r in zip(module.variables, place))]
+    index, labels, memo = {codes[0]: 0}, [], {}
+    frontier = deque([sum(bisect_right(cl, module.variables[p].init) * r
+                          for p, cl, r in zip(tested, cut_lists, scale))])
+    get, pop, push, add = index.get, frontier.popleft, frontier.append, rows.add_choice
+    fc, ca = rows.first_choice, rows.choice_action
+    for code in codes:  # a list iterator also visits the codes appended below
+        cid = pop()
+        hit = memo.get(cid)
+        if hit is None:
+            hit = memo[cid] = classify(cid)
+        label, choices, fail = hit
+        labels.append(label)
+        for aid, branches in choices:
+            pairs = []
+            for delta, wid, cdelta, sets, shifts in branches:
+                succ = code + delta
+                for r, n, v in sets:
+                    succ += (v - succ // r % n) * r
+                j = get(succ)
                 if j is None:
-                    j = len(states)
+                    j = len(codes)
                     if j >= cap:
                         raise ExplorationError(f"state cap {cap} exceeded")
                     index[succ] = j
-                    states.append(succ)
+                    codes.append(succ)
+                    for r, n, low, cl, sc in shifts:
+                        cdelta += bisect_right(cl, succ // r % n + low) * sc
+                    push(cid + cdelta)
                 pairs.append((j, wid))
-            row.append((action, pairs))
-        if clash is not None:
-            raise ModelError(f"module {module.name}: two templates for action {clash!r} "
-                             f"enabled in state {s}")
-        rows.add_state(row)
-    return Mdp(names, states, Distribution.point(0), labels, rows, ap=module.labels.keys())
+            add(aid, pairs)
+        if fail:
+            raise fail(code)
+        fc.append(len(ca))
+    return Mdp(names, ranges, codes, Distribution.point(0), labels, rows, ap=module.labels.keys())
 
 
 def compose_templates(left: TemplateModule, right: TemplateModule,
@@ -575,27 +639,11 @@ def compose_templates(left: TemplateModule, right: TemplateModule,
     if label_clash:
         raise CompositionError(f"label names appear on both sides: {sorted(label_clash)}")
 
-    templates: list[TransitionTemplate] = []
-    templates.extend(t for t in left.templates if t.action not in shared)
-    templates.extend(t for t in right.templates if t.action not in shared)
-    for action in sorted(shared):
-        for tl in left.templates:
-            if tl.action != action:
-                continue
-            for tr in right.templates:
-                if tr.action != action:
-                    continue
-                templates.append(_product_template(tl, tr))
-
-    return TemplateModule(
-        name=f"{left.name}||{right.name}",
-        variables=left.variables + right.variables,
-        templates=tuple(templates),
-        labels={**left.labels, **right.labels},
-    )
-
-
-def _product_template(tl: TransitionTemplate, tr: TransitionTemplate) -> TransitionTemplate:
-    branches = tuple(Branch(bl.weight * br.weight, bl.update + br.update)
-                     for bl in tl.branches for br in tr.branches)
-    return TransitionTemplate(tl.action, tl.guard + tr.guard, branches)
+    templates = [t for t in left.templates + right.templates if t.action not in shared]
+    templates += [TransitionTemplate(action, tl.guard + tr.guard, tuple(
+        Branch(bl.weight * br.weight, bl.update + br.update)
+        for bl in tl.branches for br in tr.branches))
+        for action in sorted(shared) for tl in left.templates if tl.action == action
+        for tr in right.templates if tr.action == action]
+    return TemplateModule(f"{left.name}||{right.name}", left.variables + right.variables,
+                          tuple(templates), {**left.labels, **right.labels})

@@ -80,7 +80,7 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
         return [[(tg[e], table[wi[e]]) for e in range(fe[c], fe[c + 1])]
                 for c in range(fc[s], fc[s + 1])]
 
-    values = [[0] * len(m.states) for _ in bests]
+    values = [[0] * m.state_count for _ in bests]
     lo, hi = values[0], values[-1]
     rounds = 0
     for scc in sccs(m, targets):

@@ -34,7 +34,6 @@ def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
                     n = max(n, t + 1)
         if labels:
             n = max(n, max(labels) + 1)
-    states = [(i,) for i in range(n)]
     rows = MdpBuilder()
     for s in range(n):
         rows.add_state([(action, [(t, rows.weight_id(Fraction(w))) for t, w in dist.items()])
@@ -42,7 +41,7 @@ def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
     labs = [frozenset(labels.get(s, ())) if labels else frozenset() for s in range(n)]
     init = Distribution({initial: Fraction(1)}) if isinstance(initial, int) \
         else Distribution({s: Fraction(w) for s, w in initial.items()})
-    return Mdp(("s",), states, init, labs, rows, ap=ap)
+    return Mdp(("s",), ((0, n - 1),), list(range(n)), init, labs, rows, ap=ap)
 
 
 def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> float:

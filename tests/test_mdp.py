@@ -2,8 +2,10 @@
 
 import dataclasses
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,11 +14,17 @@ from hypothesis import strategies as st
 from dispersal_mc import (Branch, CompositionError, Distribution, ExplorationError,
                           ModelError, TemplateModule, TransitionTemplate,
                           VarDecl, compose_templates, expand, validate)
-from dispersal_mc.mdp import sccs
-from dispersal_mc.models import (ModelParams, build_client, build_composed, build_intruder,
-                                 lt_linear_profile, uniform_probabilities)
+from dispersal_mc import mdp as mdp_module
+from dispersal_mc.bisim import bisimilar, verify_capacity_abstraction
+from dispersal_mc.configio import load_model_params
+from dispersal_mc.mdp import is_forward, sccs
+from dispersal_mc.models import (HACKED, ModelParams, build_client, build_composed,
+                                 build_intruder, lt_linear_profile, uniform_probabilities)
+from dispersal_mc.solver import exact_reach, solve_reach
 from acceptance_grid import build_grid
 from helpers import expand_reference, make_mdp, random_mdp
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestDistribution:
@@ -112,8 +120,8 @@ def _base_model():
 def _corrupted(field, value):
     """``validate``'s report on the base model with one layout field replaced."""
     m = _base_model()
-    setattr(m, field, array(getattr(m, field).typecode, value)
-            if isinstance(value, list) else value)
+    old = getattr(m, field)
+    setattr(m, field, array(old.typecode, value) if isinstance(old, array) else value)
     return validate(m)
 
 
@@ -168,6 +176,18 @@ class TestValidateLayout:
     def test_choice_mass_must_be_exactly_one(self):
         assert _corrupted("weights", (Fraction(1, 3), Fraction(1))) == [
             "state 0, action 'a': mass 2/3 != 1"]
+
+    def test_codes_of_the_base_model(self):
+        m = _base_model()
+        assert (m.ranges, m.codes, list(m.states)) == (((0, 2),), [0, 1, 2], [(0,), (1,), (2,)])
+
+    def test_repeated_code_flagged(self):
+        assert _corrupted("codes", [0, 1, 1]) == ["state 2: code 1 repeats state 1"]
+
+    def test_code_outside_the_ranges_flagged(self):
+        assert _corrupted("codes", [-1, 1, 3]) == [
+            "state 0: code -1 is outside the declared ranges",
+            "state 2: code 3 is outside the declared ranges"]
 
 
 def counter_module(limit=2):
@@ -277,7 +297,7 @@ class TestComposeTemplates:
         assert prod.reads == ()
         m = expand(prod)
         assert m.state_count == 2
-        assert m.states == [(0, 0), (1, 1)]
+        assert list(m.states) == [(0, 0), (1, 1)]
 
     def test_shared_missing_from_alphabet(self):
         writer = coin_module("w", "x", Fraction(1, 2), action="busy")
@@ -373,7 +393,7 @@ def _expanded(module):
         m = expand(module)
     except ModelError as exc:
         return ("error", type(exc), str(exc)), None
-    return ("model", m.states, [m.choices(s) for s in range(m.state_count)],
+    return ("model", list(m.states), [m.choices(s) for s in range(m.state_count)],
             m.labels, m.ap), m
 
 
@@ -404,6 +424,45 @@ def random_module(rng: random.Random) -> TemplateModule:
             branches.append(Branch(w, update if rng.random() < 0.7 else ()))
         templates.append(TransitionTemplate(rng.choice("abcdefg"), guard(), branches))
     return TemplateModule("random", variables, tuple(templates),
+                          labels={"p": guard(), "q": guard()})
+
+
+def wide_random_module(rng: random.Random) -> TemplateModule:
+    """A template module over up to 6 variables with negative lows, whose
+    ``+k`` writes step by -2 to 2 and whose ``=k`` writes may fall outside the
+    range. Guards overlap in intervals as in :func:`random_module`. A template
+    steps each variable it adds to by one k, and most templates guard those
+    steps to stay in range."""
+    variables = []
+    for i in range(rng.randint(1, 6)):
+        low = rng.randint(-3, 1)
+        high = low + rng.randint(1, 4)
+        variables.append(VarDecl(f"w{i}", low, high, rng.randint(low, high)))
+
+    def some(most=2):
+        return rng.sample(variables, rng.randint(0, min(most, len(variables))))
+
+    def guard(most=2):
+        return tuple((d.name, rng.choice(("=", "<", ">=")), rng.randint(d.low - 1, d.high + 1))
+                     for d in some(most))
+
+    def assign(d):
+        return rng.randint(d.low - 1, d.high + 1) if rng.random() < 0.05 else rng.randint(d.low, d.high)
+
+    patterns = [(Fraction(1),), (Fraction(1, 2), Fraction(1, 2)),
+                (Fraction(1, 3), Fraction(0), Fraction(2, 3)),
+                (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))]
+    templates = []
+    for _ in range(rng.randint(1, 8)):
+        steps = {d.name: (d, rng.choice((-2, -1, 1, 2))) for d in some()}
+        branches = tuple(Branch(w, tuple(
+            (d.name, "+", steps[d.name][1]) if d.name in steps and rng.random() < 0.7
+            else (d.name, "=", assign(d)) for d in some()) if rng.random() < 0.8 else ())
+            for w in rng.choice(patterns))
+        bounds = tuple((d.name, "<", d.high - k + 1) if k > 0 else (d.name, ">=", d.low - k)
+                       for d, k in steps.values()) if rng.random() < 0.9 else ()
+        templates.append(TransitionTemplate(rng.choice("abcdefgh"), guard(1) + bounds, branches))
+    return TemplateModule("wide", tuple(variables), tuple(templates),
                           labels={"p": guard(), "q": guard()})
 
 
@@ -448,6 +507,28 @@ class TestExpandMatchesReference:
                 seen.add("merged")
         assert seen == {"model", "ModelError", "ExplorationError", "zero weight", "merged"}
 
+    def test_wide_random_modules(self):
+        rng = random.Random(13)
+        seen = set()
+        for _ in range(1000):
+            module = wide_random_module(rng)
+            expected = _outcome(module)
+            got, m = _expanded(module)
+            assert got == expected, module
+            seen.add("model" if m is not None else expected[1].__name__)
+            if m is None:
+                continue
+            assert validate(m) == []
+            fewest = {}  # action -> fewest nonzero branches of its templates
+            for t in module.templates:
+                count = sum(b.weight != 0 for b in t.branches)
+                fewest[t.action] = min(fewest.get(t.action, count), count)
+                if count < len(t.branches):
+                    seen.add("zero weight")
+            if any(len(pairs) < fewest[a] for row in got[2] for a, pairs in row):
+                seen.add("merged")
+        assert seen == {"model", "ModelError", "ExplorationError", "zero weight", "merged"}
+
     def test_error_messages_kept(self):
         clash = TemplateModule(
             "clash", (VarDecl("x", 0, 2),),
@@ -463,3 +544,64 @@ class TestExpandMatchesReference:
                 (leave, ExplorationError, "variable 'y' left its range [0, 3] with value 4")):
             assert _outcome(module) == ("error", kind, message)
             assert _expanded(module)[0] == ("error", kind, message)
+
+
+class TestStateCodes:
+    """States are stored as mixed-radix codes of unbounded width, and setting
+    up an expansion costs nothing per value of a declared range."""
+
+    def test_codes_wider_than_64_bits(self):
+        big = 2 ** 40
+        module = TemplateModule(
+            "wide-codes", (VarDecl("x", -big, big, big - 3), VarDecl("y", 0, 3),
+                           VarDecl("z", -big, big, big - 1)),
+            (TransitionTemplate("up", (("y", "<", 3),),
+                                (Branch(Fraction(1, 2), (("y", "+", 1), ("x", "=", big))),
+                                 Branch(Fraction(1, 2), (("y", "+", 1),)))),
+             TransitionTemplate("down", (("y", ">=", 1),), (Branch(Fraction(1), (("y", "+", -1),)),)),
+             TransitionTemplate("tick", (("z", "<", big),), (Branch(Fraction(1), (("z", "+", 1),)),))),
+            labels={"top": (("x", ">=", big),)})
+        got, m = _expanded(module)
+        assert got == _outcome(module)
+        assert max(m.codes) >= 2 ** 64
+        assert validate(m) == []
+
+    def test_setup_does_not_scale_with_a_range(self):
+        module = TemplateModule(
+            "long-range", (VarDecl("x", 0, 10 ** 6),),
+            (TransitionTemplate("inc", (("x", "<", 3),), (Branch(Fraction(1), (("x", "+", 1),)),)),
+             TransitionTemplate("reset", (("x", ">=", 3),),
+                                (Branch(Fraction(1), (("x", "=", 0),)),))))
+        tracemalloc.start()
+        try:
+            m = expand(module)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(m.states) == [(0,), (1,), (2,), (3,)]
+        assert peak < 2 ** 20
+
+
+class TestNoFullDecode:
+    """Nothing on the check, sweep or verify paths decodes a whole valuation."""
+
+    def test_pipeline_reads_only_codes(self, monkeypatch):
+        def refuse(code, ranges):
+            raise AssertionError(f"decoded state code {code}")
+
+        monkeypatch.setattr(mdp_module, "decode", refuse)
+        # a tight-capacity point: retry loops make its model cyclic, so sccs
+        # and the solvers take their Tarjan paths
+        params, attacker = next((p, a) for _, p, a in build_grid() if p.c < p.n and p.m > 1)
+        model = build_composed(params, attacker)
+        assert not is_forward(model)
+        res = solve_reach(model, HACKED)
+        assert float(exact_reach(model, HACKED, "max")) == pytest.approx(res.pmax)
+        assert sorted(s for c in sccs(model) for s in c) == list(range(model.state_count))
+        assert validate(model) == []
+        assert bisimilar(model, model).equivalent
+        report = verify_capacity_abstraction(
+            load_model_params(CONFIG_DIR / "capacity_abstraction.json"))
+        assert report.equivalent
+        with pytest.raises(AssertionError, match="decoded"):
+            model.states[0]
