@@ -8,6 +8,7 @@ templates. Parallel composition acts on templates, before expansion
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -412,28 +413,14 @@ def validate(m: Mdp) -> list[str]:
     return problems
 
 
-def is_forward(m: Mdp, absorbing: frozenset[int] = frozenset()) -> bool:
-    """Whether every edge out of a state not in ``absorbing`` goes to a later state
-    (targets ascend, so each choice's first edge decides). Breadth-first
-    expansion numbers every model with ``c >= n`` this way."""
-    fc, fe, tg = m.first_choice, m.first_edge, m.targets
-    return all(tg[fe[c]] > s for s in range(m.state_count) if s not in absorbing
-               for c in range(fc[s], fc[s + 1]))
-
-
 def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
     """Yield the strongly connected components of the transition graph, sinks first.
 
     A component is yielded only after every component it can reach, so a consumer
     may solve each one from those before it. States in ``absorbing`` have no
-    successors. A forward model (:func:`is_forward`) yields its states one by one
-    in reverse index order; any other model takes an iterative Tarjan pass.
+    successors. The pass is Tarjan's, made iterative.
     """
-    n = m.state_count
-    if is_forward(m, absorbing):
-        yield from ([s] for s in reversed(range(n)))
-        return
-    fc, fe, tg = m.first_choice, m.first_edge, m.targets
+    n, fc, fe, tg = m.state_count, m.first_choice, m.first_edge, m.targets
     index = [0] * n  # DFS number from 1; 0 marks an unvisited state
     low = [0] * n
     on_stack = bytearray(n)
@@ -526,15 +513,35 @@ def expand(module: TemplateModule) -> Mdp:
                   if all(low <= x <= high for q, low, high in tests if q == p))
               for x in [cl[0] - 1] + cl] for p, cl in zip(tested, cut_lists)]
 
+    @functools.cache
+    def step(p, add, k, i):
+        """An update atom ``(p, add, k)`` applied in interval ``i`` of position ``p``
+        (any, if untested): ``(code delta, class delta, sets, shifts)``, or the
+        exception, as a function of the code, that ends expansion."""
+        (low, high), j = ranges[p], slot.get(p)
+        cl = () if j is None else cut_lists[j]
+        lo, hi = max(low, cl[i - 1]) if i else low, min(high, cl[i] - 1) if i < len(cl) else high
+        new = (lo + k, hi + k) if add else (k, k)
+        if not low <= new[0] <= high:
+            return lambda code: ExplorationError(
+                f"variable {names[p]!r} left its range [{low}, {high}] with value "
+                f"{code // place[p] % (high - low + 1) + low + k if add else k}")
+        delta = (new[0] - lo) * place[p] if lo == hi or add else 0
+        sets = () if lo == hi or add else ((place[p], high - low + 1, k - low),)
+        if j is None:
+            return delta, 0, sets, ()
+        to = bisect_right(cl, new[0])
+        if to == bisect_right(cl, new[1]):
+            return delta, (to - i) * scale[j], sets, ()
+        return delta, -i * scale[j], sets, ((place[p], high - low + 1, low, cl, scale[j]),)
+
     def classify(cid):
         """Class ``cid``'s label, its choices ``(action id, branches)`` and
         the exception, as a function of the code, that ends expansion in it (or None)."""
         key = [cid // r % (len(cl) + 1) for r, cl in zip(scale, cut_lists)]
-        bits, span = -1, list(ranges)  # span: the values each position takes in the class
-        for p, cl, i, row in zip(tested, cut_lists, key, masks):
+        bits, at = -1, dict(zip(tested, key))
+        for i, row in zip(key, masks):
             bits &= row[i]
-            span[p] = (max(span[p][0], cl[i - 1]) if i else span[p][0],
-                       min(span[p][1], cl[i] - 1) if i < len(cl) else span[p][1])
         choices, seen, fail = [], set(), None
         for b, (action, _, branches) in enumerate(compiled):
             if not bits >> b & 1:
@@ -548,25 +555,12 @@ def expand(module: TemplateModule) -> Mdp:
             for wid, update in branches:
                 delta, cdelta, sets, shifts = 0, 0, (), ()
                 for p, add, k in update:
-                    (lo, hi), (low, high), j = span[p], ranges[p], slot.get(p)
-                    new = (lo + k, hi + k) if add else (k, k)
-                    if not low <= new[0] <= high:
-                        fail = lambda code: ExplorationError(
-                            f"variable {names[p]!r} left its range [{low}, {high}] with value "
-                            f"{code // place[p] % (high - low + 1) + low + k if add else k}")
+                    part = step(p, add, k, at.get(p, 0))
+                    if callable(part):
+                        fail = part
                         break
-                    if lo == hi or add:
-                        delta += (new[0] - lo) * place[p]
-                    else:
-                        sets += ((place[p], high - low + 1, k - low),)
-                    if j is None:
-                        continue
-                    i = bisect_right(cut_lists[j], new[0])
-                    if i == bisect_right(cut_lists[j], new[1]):
-                        cdelta += (i - key[j]) * scale[j]
-                    else:
-                        cdelta -= key[j] * scale[j]
-                        shifts += ((place[p], high - low + 1, low, cut_lists[j], scale[j]),)
+                    delta, cdelta, sets, shifts = (delta + part[0], cdelta + part[1],
+                                                   sets + part[2], shifts + part[3])
                 if fail:
                     break
                 plan.append((delta, wid, cdelta, sets, shifts))

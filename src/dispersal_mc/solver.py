@@ -4,16 +4,20 @@ One engine serves floats (``solve_reach``) and exact ``Fraction``s
 (``exact_reach``). It solves the strongly connected components sinks first
 (topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no value
 depends on a stopping rule; floats differ from exact values by rounding only.
-On a model whose discovery order is topological (every ``c >= n`` model) the
-components are its states in reverse index order, found without a Tarjan pass.
-A state with one choice whose successors agree in both directions is backed
-up once for both.
+A first sweep backs the states up in reverse index order, each from slices of
+the flat arrays; on a model whose discovery order is topological (every
+``c >= n`` model) that is the whole solve. At the first edge that does not go
+to a later state, a Tarjan pass (:func:`~dispersal_mc.mdp.sccs`) orders the
+components instead. A state with one choice whose successors agree in both
+directions is backed up once for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from .mdp import Mdp, sccs
 
@@ -66,8 +70,12 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
     """Every state's value, one list per direction (``min`` or ``max`` in
     ``bests``), and the policy evaluations spent.
 
-    Targets are absorbing, so each is an SCC of its own. Unsolved entries
-    hold the integer 0, which is also the value of a state without actions.
+    Targets are absorbing. One sweep backs the states up in reverse index
+    order, which is sinks first while every edge out of a non-target goes to
+    a later state (targets ascend within a choice, so its first edge decides).
+    At the first edge that does not, the SCC pass solves the model again in
+    the same lists: each value it reads is one it has already written.
+    Entries not written hold the integer 0, the value of a state without actions.
     """
     if target not in m.ap:
         raise QueryError(f"proposition {target!r} is not in the model's alphabet")
@@ -75,39 +83,56 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
     one = Fraction(1) if exact else 1.0
     table = m.weights if exact else [float(w) for w in m.weights]
     fc, fe, tg, wi = m.first_choice, m.first_edge, m.targets, m.weight_ids
-
-    def row(s):
-        return [[(tg[e], table[wi[e]]) for e in range(fe[c], fe[c + 1])]
-                for c in range(fc[s], fc[s + 1])]
-
     values = [[0] * m.state_count for _ in bests]
     lo, hi = values[0], values[-1]
+    weight, low_at, high_at = table.__getitem__, lo.__getitem__, hi.__getitem__
+
+    def backup(s, floor):
+        """Back ``s`` up in every list; False at an edge to a state at most ``floor``.
+        One choice takes no best: a lone edge (of mass 1) passes its successor's
+        values on, and where the successors agree one backup serves all. Successors
+        of value 0 are skipped, so a sum of none is the shared integer 0."""
+        a, b = fc[s], fc[s + 1]
+        if b == a + 1:
+            e, f = fe[a], fe[b]
+            if tg[e] <= floor:
+                return False
+            if f == e + 1:
+                lo[s], hi[s] = lo[tg[e]], hi[tg[e]]
+                return True
+            ts = tg[e:f]
+            ws, low = list(map(weight, wi[e:f])), list(map(low_at, ts))
+            high = list(map(high_at, ts))
+            lo[s] = q = sum(map(mul, compress(ws, low), filter(None, low)))
+            hi[s] = q if low == high else sum(map(mul, compress(ws, high), filter(None, high)))
+            return True
+        for v, best in zip(values, bests):
+            for c in range(a, b):
+                ts = tg[fe[c]:fe[c + 1]]
+                if ts[0] <= floor:
+                    return False
+                vs = list(map(v.__getitem__, ts))
+                q = sum(map(mul, compress(map(weight, wi[fe[c]:fe[c + 1]]), vs), filter(None, vs)))
+                v[s] = best(v[s], q) if c > a else q
+        return True
+
+    for s in targets:
+        lo[s] = hi[s] = one
+    for s in reversed(range(m.state_count)):
+        if s not in targets and not backup(s, s):
+            break
+    else:
+        return values, 0
     rounds = 0
     for scc in sccs(m, targets):
-        if len(scc) == 1:
-            s = scc[0]
-            if s in targets:
-                for v in values:
-                    v[s] = one
-                continue
-            c0, c1 = fc[s], fc[s + 1]
-            succ = tg[fe[c0]:fe[c1]]
-            if s not in succ:
-                # one choice takes no best: where the successors agree, one backup serves all
-                shared = c1 == c0 + 1 and all([lo[t] == hi[t] for t in succ])
-                for v, best in zip(values[:1] if shared else values, bests):
-                    for c in range(c0, c1):
-                        q = sum([table[wi[e]] * v[tg[e]]
-                                 for e in range(fe[c], fe[c + 1]) if v[tg[e]]])
-                        v[s] = best(v[s], q) if c > c0 else q
-                if shared:
-                    hi[s] = lo[s]
-                continue
-            acts = {s: row(s)}
-        else:
-            acts = {s: row(s) for s in scc}
-        for v, best in zip(values, bests):
-            rounds += _solve_component(acts, v, best)
+        s = scc[0]  # a target is absorbing, so a component of its own
+        if len(scc) > 1 or s not in targets and s in tg[fe[fc[s]]:fe[fc[s + 1]]]:
+            acts = {s: [list(zip(tg[fe[c]:fe[c + 1]], map(weight, wi[fe[c]:fe[c + 1]])))
+                        for c in range(fc[s], fc[s + 1])] for s in scc}
+            for v, best in zip(values, bests):
+                rounds += _solve_component(acts, v, best)
+        elif s not in targets:
+            backup(s, -1)
     return values, rounds
 
 

@@ -71,6 +71,15 @@ def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> 
     raise AssertionError("value iteration did not converge")
 
 
+def is_forward(m: Mdp, absorbing: frozenset[int] = frozenset()) -> bool:
+    """Whether every edge out of a state not in ``absorbing`` goes to a later
+    state, so that reverse index order is sinks first. Breadth-first
+    expansion numbers every model with ``c >= n`` this way."""
+    fc, fe, tg = m.first_choice, m.first_edge, m.targets
+    return all(tg[e] > s for s in range(m.state_count) if s not in absorbing
+               for e in range(fe[fc[s]], fe[fc[s + 1]]))
+
+
 def expand_reference(module: TemplateModule):
     """Breadth-first expansion that tests every template in every state and
     keeps one ``{action: masses}`` row per state.

@@ -17,12 +17,12 @@ from dispersal_mc import (Branch, CompositionError, Distribution, ExplorationErr
 from dispersal_mc import mdp as mdp_module
 from dispersal_mc.bisim import bisimilar, verify_capacity_abstraction
 from dispersal_mc.configio import load_model_params
-from dispersal_mc.mdp import is_forward, sccs
+from dispersal_mc.mdp import sccs
 from dispersal_mc.models import (HACKED, ModelParams, build_client, build_composed,
                                  build_intruder, lt_linear_profile, uniform_probabilities)
 from dispersal_mc.solver import exact_reach, solve_reach
 from acceptance_grid import build_grid
-from helpers import expand_reference, make_mdp, random_mdp
+from helpers import expand_reference, is_forward, make_mdp, random_mdp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -590,8 +590,8 @@ class TestNoFullDecode:
             raise AssertionError(f"decoded state code {code}")
 
         monkeypatch.setattr(mdp_module, "decode", refuse)
-        # a tight-capacity point: retry loops make its model cyclic, so sccs
-        # and the solvers take their Tarjan paths
+        # a tight-capacity point: retry loops make its model cyclic, so the
+        # solvers take their Tarjan paths
         params, attacker = next((p, a) for _, p, a in build_grid() if p.c < p.n and p.m > 1)
         model = build_composed(params, attacker)
         assert not is_forward(model)

@@ -9,10 +9,11 @@ import pytest
 
 from dispersal_mc import ModelParams, build_composed, uniform_probabilities
 from acceptance_grid import build_grid
-from dispersal_mc.mdp import is_forward, sccs
+from dispersal_mc import solver
+from dispersal_mc.mdp import sccs
 from dispersal_mc.models import HACKED
 from dispersal_mc.solver import QueryError, exact_reach, solve_reach
-from helpers import make_mdp, random_mdp, random_params, value_iteration
+from helpers import is_forward, make_mdp, random_mdp, random_params, value_iteration
 
 F = Fraction
 
@@ -236,30 +237,76 @@ class TestForwardOrder:
                             for _, pairs in model.choices(s):
                                 assert all(t in done or t in comp for t, _ in pairs)
                     done.update(comp)
-            forward = list(sccs(m, frozenset(m.states_with("g"))))
-            assert forward == [[s] for s in reversed(range(m.state_count))]
 
-    def test_a_back_edge_in_any_choice_needs_tarjan(self):
+    def test_a_back_edge_in_any_choice_needs_tarjan(self, monkeypatch):
         # state 1's second choice leads back to 0; the goal's own edge back
         # to 0 does not count, since targets are absorbing
+        calls = []
+        monkeypatch.setattr(solver, "sccs", lambda *args: calls.append(args) or sccs(*args))
         rows = {0: {"a": {1: 1}}, 1: {"a": {2: 1}, "b": {0: F(1, 2), 3: F(1, 2)}},
                 2: {"a": {0: 1}}, 3: {}}
         m = make_mdp(rows, labels={2: ("g",)})
         assert not is_forward(m, frozenset({2}))
         assert [sorted(c) for c in sccs(m, frozenset({2}))] == [[2], [3], [0, 1]]
+        res = solve_reach(m, "g")
+        assert len(calls) == 1
+        assert (res.pmin, res.pmax) == (0, 1)
+        assert (res.pmin, res.pmax) == (value_iteration(m, "g", "min"),
+                                        value_iteration(m, "g", "max"))
         assert (exact_reach(m, "g", "min"), exact_reach(m, "g", "max")) == (0, 1)
         del rows[1]["b"]
         m = make_mdp(rows, labels={2: ("g",)})
         assert is_forward(m, frozenset({2})) and not is_forward(m)
+        calls.clear()
+        assert solve_reach(m, "g").pmin == exact_reach(m, "g", "min") == 1
+        assert calls == []
 
-    def test_grid_models_with_spare_capacity_are_forward(self):
+    def test_a_late_back_edge_falls_back_to_tarjan(self, monkeypatch):
+        # a back edge or self-loop out of state 0 or 1: the sweep backs up
+        # every later state before it meets the edge and hands over
+        calls = []
+        monkeypatch.setattr(solver, "sccs", lambda *args: calls.append(args) or sccs(*args))
+        rng = random.Random(53)
+        cyclic = 0
+        for _ in range(300):
+            transitions, labels, n = random_forward_rows(rng)
+            s = next((s for s in range(min(2, n)) if s not in labels), None)
+            if s is None:
+                continue
+            back = rng.randint(0, s)
+            other = rng.choice([t for t in range(n) if t != back])
+            transitions[s] = {**transitions[s], "z": {back: F(1, 2), other: F(1, 2)}}
+            m = make_mdp(transitions, labels=labels, num_states=n, ap=("g",))
+            calls.clear()
+            res = solve_reach(m, "g")
+            assert len(calls) == 1
+            cyclic += res.iterations > 0
+            for direction, value in (("min", res.pmin), ("max", res.pmax)):
+                exact = exact_reach(m, "g", direction)
+                reference = value_iteration(m, "g", direction)
+                assert abs(value - float(exact)) <= 1e-12
+                assert abs(value - reference) <= 1e-9
+                assert abs(float(exact) - reference) <= 1e-9
+        assert cyclic >= 200
+
+    def test_grid_models_with_spare_capacity_are_forward(self, monkeypatch):
         # Every c >= n model is acyclic, and breadth-first expansion numbers
-        # it so that no Tarjan pass is needed to solve it.
-        count = 0
+        # it so that the solver's sweep alone solves it, with no SCC pass.
+        def refuse(*args):
+            raise AssertionError("the SCC pass ran on a forward model")
+
+        monkeypatch.setattr(solver, "sccs", refuse)
+        count = exact = 0
         for _, params, attacker in build_grid():
             if params.c >= params.n:
                 for reduced in (False, True):
                     m = build_composed(params, attacker, reduced=reduced)
                     assert is_forward(m, frozenset(m.states_with(HACKED)))
+                    res = solve_reach(m, HACKED)
+                    assert res.iterations == 0
                     count += 1
-        assert count == 112
+                    if reduced and m.state_count < 5000:
+                        for direction, value in (("min", res.pmin), ("max", res.pmax)):
+                            assert abs(float(exact_reach(m, HACKED, direction)) - value) <= 1e-12
+                        exact += 1
+        assert count == 112 and exact == 56
