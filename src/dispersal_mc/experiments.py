@@ -1,9 +1,9 @@
 """Parameter sweeps, independent verification oracles, and CSV output.
 
-The enumeration oracle walks the full outcome tree (routing choices, attack
-coin tosses, reconstruction branches) with exact rationals and shares no code
-with the reachability solvers; it exists to certify them. The Monte-Carlo
-estimator extends the cross-check beyond the exact caps.
+The enumeration oracle sums the outcome tree (routing choices, attack coin
+tosses, reconstruction branches) with exact rationals, walking each subtree
+once, and shares no code with the reachability solvers; it exists to certify
+them. The Monte-Carlo estimator extends the cross-check beyond the exact caps.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import compress
+from operator import mul
 from typing import Iterable
 
 from .models import (ModelParams, ParameterError, build_composed,
@@ -24,7 +27,7 @@ CSV_HEADER = "n,pmin,pmax,states,transitions,wall_ms,iterations"
 
 
 class OracleCapError(RuntimeError):
-    """The enumeration oracle refuses outcome trees above its size cap."""
+    """The enumeration oracle refuses walks whose memo could exceed its key cap."""
 
 
 @dataclass(frozen=True)
@@ -190,31 +193,51 @@ def emit_csv(rows: Iterable[SweepRow], path) -> None:
 # --- independent enumeration oracle ------------------------------------------
 
 
-def _oracle_tree_size(params: ModelParams, attacker: str) -> int:
-    per_slice = 2 * params.m if attacker == "slice" else params.m
-    extra = 1 if attacker == "slice" else 2 ** params.m
-    return extra * per_slice ** params.n
-
-
 def enumerate_oracle(params: ModelParams, attacker: str, *,
                      cap: int = 1_000_000) -> Fraction:
     """Ground-truth attack probability by exhaustive outcome enumeration.
 
-    Walks every routing sequence (with capacity-forced re-picks folded into
-    renormalized choices), every interception/corruption outcome, and every
-    reconstruction branch, summing the exact probabilities of the outcomes
-    that end with a reconstructed message. Independent of the MDP engine and
-    the reachability solvers.
+    Sums over every routing sequence (with capacity-forced re-picks folded
+    into renormalized choices), every interception/corruption outcome, and
+    every reconstruction branch the exact probabilities of the outcomes that
+    end with a reconstructed message. A subtree depends only on the
+    occupancy counts and the slices held, so each is walked once. With
+    c >= n no server is full before the last slice, the counts drop out, and
+    a step hits with the routed mass of the intercepting (or corrupted)
+    servers; corruption sets of equal routed mass are then walked once. The
+    cap bounds the memo keys. Independent of the MDP engine and the
+    reachability solvers.
     """
-    size = _oracle_tree_size(params, attacker)
-    if size > cap:
-        raise OracleCapError(
-            f"outcome tree has about {size} nodes, above the cap {cap}")
     if attacker == "slice":
-        return _slice_oracle(params)
-    if attacker == "provider":
-        return _provider_oracle(params)
-    raise ParameterError(f"unknown attacker kind {attacker!r}")
+        groups = {None: (Fraction(1), params.a)}
+    elif attacker == "provider":
+        groups = _corruption_groups(params)
+    else:
+        raise ParameterError(f"unknown attacker kind {attacker!r}")
+    n, m, c = params.n, params.m, params.c
+    # A key's counts are each at most c and sum to at most n.
+    keys = len(groups) * (n + 1) * (n + 1 if c >= n else min((c + 1) ** m, math.comb(n + m, m)))
+    if keys > cap:
+        raise OracleCapError(f"the walk may memoise {keys} keys, above the cap {cap}")
+    reached = lambda held: params.x_at(held) if held >= params.k1 else Fraction(0)
+    zero = lambda held: 0
+    win, end = (reached, zero) if attacker == "slice" else (zero, reached)
+    return sum((weight * _walk(params, hit, win, end) for weight, hit in groups.values()),
+               Fraction(0))
+
+
+def _corruption_groups(params: ModelParams) -> dict:
+    """Each corruption set's probability, as {key: (probability, hit vector)};
+    with c >= n sets of equal routed mass share one key."""
+    groups: dict = {}
+    for mask in range(2 ** params.m):
+        hit = tuple(mask >> i & 1 for i in range(params.m))
+        weight = math.prod(a if bad else 1 - a for a, bad in zip(params.a, hit))
+        if weight:
+            key = sum(compress(params.p, hit), Fraction(0)) if params.c >= params.n else hit
+            total = groups[key][0] if key in groups else 0
+            groups[key] = (total + weight, hit)
+    return groups
 
 
 def _routing_choices(params: ModelParams, counts: tuple[int, ...]):
@@ -229,55 +252,35 @@ def _routing_choices(params: ModelParams, counts: tuple[int, ...]):
     return [(i, params.p[i] / denom) for i in avail]
 
 
-def _slice_oracle(params: ModelParams) -> Fraction:
-    n, k1 = params.n, params.k1
+def _walk(params: ModelParams, hit, win, end) -> Fraction:
+    """Probability of reconstruction when slice i is taken with probability
+    ``hit[i]``: ``win(held)`` after each taken slice, ``end(held)`` after the last."""
+    n = params.n
+    if params.c >= n:
+        alpha = sum(map(mul, params.p, hit), Fraction(0))
+        steps = lambda counts: ((counts, alpha, 1 - alpha),)
+    else:
+        steps = lambda counts: [(counts[:i] + (counts[i] + 1,) + counts[i + 1:],
+                                 w * hit[i], w * (1 - hit[i]))
+                                for i, w in _routing_choices(params, counts)]
 
+    @cache
     def walk(counts: tuple[int, ...], sent: int, held: int) -> Fraction:
         if sent == n:
-            return Fraction(0)
+            return end(held)
         total = Fraction(0)
-        for i, w in _routing_choices(params, counts):
-            nxt = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-            ai = params.a[i]
-            if ai > 0:
-                got = held + 1
-                win = Fraction(0)
-                rest = Fraction(1)
-                if got >= k1:
-                    win = params.x_at(got)
-                    rest = 1 - win
-                total += w * ai * (win + rest * walk(nxt, sent + 1, got))
-            if ai < 1:
-                total += w * (1 - ai) * walk(nxt, sent + 1, held)
+        for nxt, taken, missed in steps(counts):
+            if taken:
+                won = win(held + 1)
+                rest = walk(nxt, sent + 1, held + 1)
+                total += taken * (won + (1 - won) * rest if won else rest)
+            if missed:
+                total += missed * walk(nxt, sent + 1, held)
         return total
 
-    return walk((0,) * params.m, 0, 0)
-
-
-def _provider_oracle(params: ModelParams) -> Fraction:
-    n, m, k1 = params.n, params.m, params.k1
-
-    def routes(counts: tuple[int, ...], sent: int, held: int,
-               corrupted: tuple[bool, ...]) -> Fraction:
-        if sent == n:
-            return params.x_at(held) if held >= k1 else Fraction(0)
-        total = Fraction(0)
-        for i, w in _routing_choices(params, counts):
-            nxt = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-            total += w * routes(nxt, sent + 1, held + (1 if corrupted[i] else 0),
-                                corrupted)
-        return total
-
-    total = Fraction(0)
-    for mask in range(2 ** m):
-        corrupted = tuple(bool(mask >> i & 1) for i in range(m))
-        weight = Fraction(1)
-        for i in range(m):
-            weight *= params.a[i] if corrupted[i] else 1 - params.a[i]
-        if weight == 0:
-            continue
-        total += weight * routes((0,) * m, 0, 0, corrupted)
-    return total
+    value = walk((0,) * params.m, 0, 0)
+    walk.cache_clear()
+    return value
 
 
 # --- Monte-Carlo cross-check --------------------------------------------------

@@ -605,6 +605,7 @@ def expand(module: TemplateModule) -> Mdp:
         if fail:
             raise fail(code)
         fc.append(len(ca))
+    del index, get, memo  # free the discovery maps before the model is built
     return Mdp(names, ranges, codes, Distribution.point(0), labels, rows, ap=module.labels.keys())
 
 

@@ -9,7 +9,8 @@ the flat arrays; on a model whose discovery order is topological (every
 ``c >= n`` model) that is the whole solve. At the first edge that does not go
 to a later state, a Tarjan pass (:func:`~dispersal_mc.mdp.sccs`) orders the
 components instead. A state with one choice whose successors agree in both
-directions is backed up once for both.
+directions is backed up once for both, and so is a cyclic component whose
+states have one action each.
 """
 
 from __future__ import annotations
@@ -129,27 +130,49 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
         if len(scc) > 1 or s not in targets and s in tg[fe[fc[s]]:fe[fc[s + 1]]]:
             acts = {s: [list(zip(tg[fe[c]:fe[c + 1]], map(weight, wi[fe[c]:fe[c + 1]])))
                         for c in range(fc[s], fc[s + 1])] for s in scc}
-            for v, best in zip(values, bests):
-                rounds += _solve_component(acts, v, best)
+            rounds += _solve_component(acts, values, bests)
         elif s not in targets:
             backup(s, -1)
     return values, rounds
 
 
-def _solve_component(acts, v, best) -> int:
-    """Solve one cyclic SCC in place by policy iteration, its exits final in ``v``.
+def _solve_component(acts, values, bests) -> int:
+    """Solve one cyclic SCC in place in every list, its exits final there.
 
-    Each action becomes (its weights inside the SCC, the value it collects
-    from its exits). For min, the SCC's Prob0 set (a scheduler can stay inside
-    or leave only to value-0 states) keeps 0; outside it every policy leaves
-    the SCC, so strict improvement ends at the optimum. For max, ``_evaluate``
-    takes least solutions, which are Bellman fixpoints once no improvement is
-    left. A repeated policy (float round-off between equal actions) also ends
-    the loop. Returns the number of policy evaluations.
+    A component where every state has one action is a Markov chain: min and
+    max are its least solution, solved once when every exit agrees in all
+    lists. Otherwise each direction runs policy iteration. Returns the number
+    of policy evaluations, counted per direction as the separate solves do.
     """
-    split = {s: [({t: w for t, w in pairs if t in acts},
-                  sum(w * v[t] for t, w in pairs if t not in acts)) for pairs in row]
-             for s, row in acts.items()}
+    lo, hi = values[0], values[-1]
+    if all(len(row) == 1 and all(lo[t] == hi[t] for t, _ in row[0] if t not in acts)
+           for row in acts.values()):
+        x = _evaluate({s: _split(row[0], acts, lo) for s, row in acts.items()})
+        for v in values:
+            for s in acts:
+                v[s] = x.get(s, 0)
+        return sum(best is max or bool(x) for best in bests)
+    return sum(_improve(acts, v, best) for v, best in zip(values, bests))
+
+
+def _split(pairs, acts, v):
+    """An action as (its weights inside the SCC, the value it collects from its exits)."""
+    return ({t: w for t, w in pairs if t in acts},
+            sum(w * v[t] for t, w in pairs if t not in acts))
+
+
+def _improve(acts, v, best) -> int:
+    """Solve one cyclic SCC in place in ``v`` by policy iteration.
+
+    For min, the SCC's Prob0 set (a scheduler can stay inside or leave only to
+    value-0 states) keeps 0; outside it every policy leaves the SCC, so strict
+    improvement ends at the optimum. For max, ``_evaluate`` takes least
+    solutions, which are Bellman fixpoints once no improvement is left. A
+    repeated policy (float round-off between equal actions) also ends the
+    loop. Only states with a choice look for an improvement. Returns the
+    number of policy evaluations.
+    """
+    split = {s: [_split(pairs, acts, v) for pairs in row] for s, row in acts.items()}
     if best is min:
         trap = set(split)
         shrunk = True
@@ -162,12 +185,13 @@ def _solve_component(acts, v, best) -> int:
         for s in trap:
             del split[s]
     policy = dict.fromkeys(split, 0)
+    choices = [(s, row) for s, row in split.items() if len(row) > 1]
     seen = set()
     x: dict = {}
     while split:
         seen.add(tuple(policy.values()))
         x = _evaluate({s: split[s][i] for s, i in policy.items()})
-        for s, row in split.items():
+        for s, row in choices:
             qs = [b + sum(w * x.get(t, 0) for t, w in inner.items()) for inner, b in row]
             i = best(range(len(qs)), key=qs.__getitem__)
             if qs[i] != qs[policy[s]]:  # switch on a strict improvement only

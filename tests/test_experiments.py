@@ -54,8 +54,30 @@ class TestOracle:
         params = ModelParams(n=6, m=3, c=2, k1=3, k2=4,
                              a=(F(1, 2),) * 3, x=lt_linear_profile(3, 4, 6),
                              p=uniform_probabilities(3))
-        with pytest.raises(OracleCapError):
+        with pytest.raises(OracleCapError, match="189 keys"):  # 3^3 counts x 7 held
             enumerate_oracle(params, "slice", cap=100)
+
+    def test_tight_capacity_past_the_tree_size(self):
+        # 6^12 outcome-tree nodes; the memo keys are (counts, held)
+        params = ModelParams(n=12, m=3, c=4, k1=7, k2=10,
+                             a=(F(1, 10), F(1, 5), F(3, 10)),
+                             x=lt_linear_profile(7, 10, 12), p=uniform_probabilities(3))
+        model = build_composed(params, "slice")
+        value = enumerate_oracle(params, "slice")
+        assert value == exact_reach(model, HACKED, "min")
+        assert value == exact_reach(model, HACKED, "max")
+
+    def test_corruption_sets_grouped_by_routed_mass(self):
+        # with c >= n, the 32 corruption sets fall into 6 groups of routed mass k/5
+        params = ModelParams(n=4, m=5, c=4, k1=2, k2=3,
+                             a=tuple(F(i, 20) for i in range(1, 6)),
+                             x=lt_linear_profile(2, 3, 4), p=uniform_probabilities(5))
+        assert sorted(experiments._corruption_groups(params)) == [F(k, 5) for k in range(6)]
+        model = build_composed(params, "provider", reduced=True)
+        assert model.state_count == 2702
+        value = enumerate_oracle(params, "provider")
+        assert value == exact_reach(model, HACKED, "min")
+        assert value == exact_reach(model, HACKED, "max")
 
 
 class TestMonteCarlo:

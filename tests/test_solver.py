@@ -4,12 +4,14 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dispersal_mc import ModelParams, build_composed, uniform_probabilities
 from acceptance_grid import build_grid
 from dispersal_mc import solver
+from dispersal_mc.configio import load_model_params
 from dispersal_mc.mdp import sccs
 from dispersal_mc.models import HACKED
 from dispersal_mc.solver import QueryError, exact_reach, solve_reach
@@ -159,6 +161,44 @@ class TestEndComponents:
         with_stay = make_mdp({0: {"retry": {0: F(1, 2), 1: F(1, 2)}, "stay": {0: 1}},
                               1: {}}, labels={1: ("goal",)})
         assert self.solved(with_stay) == (0, 1)
+
+    def test_partial_sweep_value_is_overwritten_by_the_min_trap(self):
+        # the reverse sweep writes "a"'s value into 0 before "b" stops it; for
+        # min, 0 is a trap (it can stay forever) and must read 0 after all
+        m = make_mdp({0: {"a": {1: 1}, "b": {0: 1}}, 1: {}}, labels={1: ("goal",)})
+        res = solve_reach(m, "goal")
+        assert (res.pmin, res.pmax) == (0.0, 1.0)
+        assert self.solved(m) == (0, 1)
+
+    def test_one_action_loop_is_evaluated_once(self, monkeypatch):
+        # 0 and 1 form a retry loop with one action each: a Markov chain, so
+        # min and max share one evaluation, while iterations count both
+        calls = []
+        evaluate = solver._evaluate
+        monkeypatch.setattr(solver, "_evaluate", lambda chosen: calls.append(1) or evaluate(chosen))
+        m = make_mdp({0: {"pick": {1: F(1, 2), 3: F(1, 2)}},
+                      1: {"retry": {0: F(1, 3), 2: F(2, 3)}}, 2: {}, 3: {}},
+                     labels={2: ("goal",)})
+        res = solve_reach(m, "goal")
+        assert (len(calls), res.iterations) == (1, 2)
+        assert res.pmin == res.pmax == pytest.approx(0.4)
+        assert self.solved(m) == (F(2, 5), F(2, 5))
+        # no state of this loop reaches the goal: min counts no evaluation
+        calls.clear()
+        dead = make_mdp({0: {"pick": {1: F(1, 2), 3: F(1, 2)}}, 1: {"retry": {0: 1}},
+                         2: {}, 3: {}}, labels={2: ("goal",)})
+        res = solve_reach(dead, "goal")
+        assert (len(calls), res.iterations, res.pmin, res.pmax) == (1, 1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("attacker, pmin, pmax, iterations", [
+    ("slice", "0x1.e353f7ced916ap-5", "0x1.e353f7ced916ap-5", 30),
+    ("provider", "0x1.3333333333334p-3", "0x1.3333333333334p-3", 28),
+])
+def test_capacity_bound_floats_and_iterations_are_pinned(attacker, pmin, pmax, iterations):
+    config = Path(__file__).resolve().parent.parent / "configs" / "capacity_bound.json"
+    res = solve_reach(build_composed(load_model_params(config), attacker), HACKED)
+    assert (res.pmin.hex(), res.pmax.hex(), res.iterations) == (pmin, pmax, iterations)
 
 
 
