@@ -253,8 +253,8 @@ def _routing_choices(params: ModelParams, counts: tuple[int, ...]):
 
 
 def _walk(params: ModelParams, hit, win, end) -> Fraction:
-    """Probability of reconstruction when slice i is taken with probability
-    ``hit[i]``: ``win(held)`` after each taken slice, ``end(held)`` after the last."""
+    """Probability of reconstruction when a slice sent to server i is taken with
+    probability ``hit[i]``: ``win(held)`` after each take, ``end(held)`` after the last slice."""
     n = params.n
     if params.c >= n:
         alpha = sum(map(mul, params.p, hit), Fraction(0))

@@ -175,7 +175,8 @@ class TestEndComponents:
         # min and max share one evaluation, while iterations count both
         calls = []
         evaluate = solver._evaluate
-        monkeypatch.setattr(solver, "_evaluate", lambda chosen: calls.append(1) or evaluate(chosen))
+        monkeypatch.setattr(solver, "_evaluate",
+                            lambda chosen: calls.append(1) or evaluate(chosen))
         m = make_mdp({0: {"pick": {1: F(1, 2), 3: F(1, 2)}},
                       1: {"retry": {0: F(1, 3), 2: F(2, 3)}}, 2: {}, 3: {}},
                      labels={2: ("goal",)})
@@ -199,7 +200,6 @@ def test_capacity_bound_floats_and_iterations_are_pinned(attacker, pmin, pmax, i
     config = Path(__file__).resolve().parent.parent / "configs" / "capacity_bound.json"
     res = solve_reach(build_composed(load_model_params(config), attacker), HACKED)
     assert (res.pmin.hex(), res.pmax.hex(), res.iterations) == (pmin, pmax, iterations)
-
 
 
 def random_forward_rows(rng: random.Random, max_states=10):
