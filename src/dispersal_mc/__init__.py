@@ -7,7 +7,7 @@ and PRISM-language export.
 
 from .mdp import (Branch, CompositionError, Distribution, ExplorationError, Mdp,
                   ModelError, TemplateModule, TransitionTemplate, VarDecl,
-                  compose_templates, expand, validate)
+                  compose_templates, expand)
 from .models import (HACKED, AbstractionPreconditionError, Channel, ModelParams,
                      ParameterError, build_client, build_composed,
                      build_provider_attacker,
@@ -17,7 +17,7 @@ from .models import (HACKED, AbstractionPreconditionError, Channel, ModelParams,
 __all__ = [
     "Branch", "CompositionError", "Distribution", "ExplorationError", "Mdp",
     "ModelError", "TemplateModule", "TransitionTemplate", "VarDecl",
-    "compose_templates", "expand", "validate",
+    "compose_templates", "expand",
     "HACKED", "AbstractionPreconditionError", "Channel", "ModelParams",
     "ParameterError", "build_client", "build_composed",
     "build_provider_attacker", "build_slice_attacker", "expand_channels",

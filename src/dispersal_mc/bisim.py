@@ -16,8 +16,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .mdp import Distribution, Mdp, MdpBuilder
 from .models import (AbstractionPreconditionError, Channel, ModelParams,
-                     ParameterError, build_composed, expand_channels,
-                     lt_linear_profile)
+                     ParameterError, build_composed, expand_channels, make_params)
 from .solver import solve_reach
 
 
@@ -39,9 +38,6 @@ class Partition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def same_block(self, s: int, t: int) -> bool:
-        return self.block_of[s] == self.block_of[t]
 
 
 def _layout(m: Mdp) -> tuple:
@@ -271,12 +267,6 @@ def _channel_witness(model: Mdp, sizes: Sequence[int]) -> Callable[[int], tuple]
     return key
 
 
-def _channel_params(f: Distribution, channels: Sequence[Channel], n: int,
-                    k1: int, k2: int, x, c: int) -> ModelParams:
-    p, a = expand_channels(f, channels)
-    return ModelParams(n=n, m=len(p), c=c, k1=k1, k2=k2, a=a, x=x, p=p)
-
-
 def verify_channel_cutoff(f: Distribution, small: Sequence[Channel],
                           big: Sequence[Channel], *, n: int, k1: int, k2: int,
                           x=None, c: int | None = None) -> AbstractionReport:
@@ -287,22 +277,23 @@ def verify_channel_cutoff(f: Distribution, small: Sequence[Channel],
     and additionally checks that the expected witness relation (equal shared
     variables, channel-mapped recipient, per-channel occupancy sums) sits
     inside the computed bisimulation. Requires c >= n so capacity never
-    interferes with grouping.
+    interferes with grouping; without ``x`` the curve is lt-linear.
     """
     if len(small) != len(big):
         raise ParameterError("channel lists must have equal length")
     for ch in small:
         if ch.size != 1:
             raise ParameterError("the reference system must have one server per channel")
-    c = n if c is None else c
-    if c < n:
+    if c is not None and c < n:
         raise AbstractionPreconditionError(
             f"channel grouping needs c >= n, got c={c} n={n}")
-    x = tuple(x) if x is not None else lt_linear_profile(k1, k2, n)
 
     systems = {"small": small, "big": big}
-    sides = {name: build_composed(_channel_params(f, chans, n, k1, k2, x, c), "slice")
-             for name, chans in systems.items()}
+    profile = "lt-linear" if x is None else "explicit"
+    vectors = {name: expand_channels(f, chans) for name, chans in systems.items()}
+    sides = {name: build_composed(make_params(profile, n, len(p), a, p=p, c=c,
+                                              k1=k1, k2=k2, x=x), "slice")
+             for name, (p, a) in vectors.items()}
     witness = {name: _channel_witness(sides[name], [ch.size for ch in chans])
                for name, chans in systems.items()}
     return _verify("channel-cutoff", sides, witness)

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
 
 from .mdp import Distribution
-from .models import (Channel, ModelParams, ParameterError, expand_channels,
-                     lt_linear_profile, rs_profile, uniform_probabilities)
+from .models import Channel, ModelParams, ParameterError, expand_channels, make_params
 from .experiments import SweepSpec
 from .rationals import parse_probability
 
@@ -59,6 +57,31 @@ def _int(doc: dict, key: str) -> int:
     return v
 
 
+def _str(doc: dict, key: str) -> str:
+    v = doc[key]
+    if not isinstance(v, str):
+        raise ConfigError(f"field {key!r}: expected a string, got {v!r}")
+    return v
+
+
+# The reader of every typed field of a model config or sweep spec.
+_READERS = {**dict.fromkeys(("n", "m", "c", "k1", "k2", "n_from", "n_to", "n_step",
+                             "samples", "seed"), _int),
+            **dict.fromkeys(("ratio", "k1_ratio", "k2_ratio"), _probability),
+            **dict.fromkeys(("a", "p", "x", "a_interval"), _probability_list),
+            "profile": _str}
+# The threshold fields each profile reads, in a model config and in a sweep spec.
+_PROFILE_FIELDS = {"rs": ("ratio", "k1", "k2"), "lt-linear": ("k1", "k2"),
+                   "explicit": ("k1", "k2", "x")}
+_SWEEP_PROFILE_FIELDS = {"rs": ("ratio",), "lt-linear": ("k1_ratio", "k2_ratio"),
+                         "explicit": ("k1", "k2", "x")}
+
+
+def _read(doc: dict, keys) -> dict:
+    """The fields among ``keys`` that ``doc`` gives, each through its reader."""
+    return {key: _READERS[key](doc, key) for key in keys if key in doc}
+
+
 def _require(doc: dict, *keys: str) -> None:
     missing = [k for k in keys if k not in doc]
     if missing:
@@ -87,9 +110,7 @@ def parse_channels(doc: dict) -> tuple[Distribution, list[Channel]]:
         try:
             size = _int(entry, "size")
             if "g" in entry:
-                masses = {j: parse_probability(v)
-                          for j, v in enumerate(entry["g"], start=1)}
-                g = Distribution(masses)
+                g = Distribution(enumerate(_probability_list(entry, "g"), start=1))
             else:
                 g = Distribution.uniform(size)
             channels.append(Channel(size, g, parse_probability(entry["a"])))
@@ -116,70 +137,32 @@ def channel_cutoff_from_dict(doc: dict) -> tuple[Distribution, list[Channel], di
     (n, k1, k2 and the optional x and c) of a channel-grouping instance."""
     _require(doc, "channels", "n", "k1", "k2")
     f, channels = parse_channels(doc)
-    fields = {key: _int(doc, key) for key in ("n", "k1", "k2")}
-    fields["x"] = _probability_list(doc, "x") if "x" in doc else None
-    fields["c"] = _int(doc, "c") if "c" in doc else None
-    _refuse_unread(doc, ("channels", "f", *fields), "verify-thm2 config")
+    fields = _read(doc, ("n", "k1", "k2", "x", "c"))
+    _refuse_unread(doc, ("channels", "f", "n", "k1", "k2", "x", "c"), "verify-thm2 config")
     return f, channels, fields
-
-
-# The threshold fields each profile reads, in a model config and in a sweep spec.
-_PROFILE_FIELDS = {"rs": ("ratio", "k1", "k2"), "lt-linear": ("k1", "k2"),
-                   "explicit": ("k1", "k2", "x")}
-_SWEEP_PROFILE_FIELDS = {"rs": {"ratio": _probability},
-                         "lt-linear": {"k1_ratio": _probability, "k2_ratio": _probability},
-                         "explicit": {"k1": _int, "k2": _int, "x": _probability_list}}
-
-
-def _thresholds(doc: dict, n: int) -> tuple[int, int, tuple[Fraction, ...]]:
-    profile = doc.get("profile", "explicit")
-    if profile == "rs":
-        ratio = _probability(doc, "ratio") if "ratio" in doc else Fraction(7, 10)
-        k1, k2 = rs_profile(n, ratio)
-        if "k1" in doc and _int(doc, "k1") != k1:
-            raise ConfigError(f"field 'k1': {doc['k1']} conflicts with ratio-derived {k1}")
-        if "k2" in doc and _int(doc, "k2") != k2:
-            raise ConfigError(f"field 'k2': {doc['k2']} conflicts with ratio-derived {k2}")
-        x = tuple(Fraction(1) for _ in range(k1, n + 1))
-    elif profile == "lt-linear":
-        _require(doc, "k1", "k2")
-        k1, k2 = _int(doc, "k1"), _int(doc, "k2")
-        x = lt_linear_profile(k1, k2, n)
-    elif profile == "explicit":
-        _require(doc, "k1", "k2", "x")
-        k1, k2 = _int(doc, "k1"), _int(doc, "k2")
-        x = _probability_list(doc, "x")
-    else:
-        raise ConfigError(f"field 'profile': unknown profile {profile!r}")
-    return k1, k2, x
 
 
 def model_params_from_dict(doc: dict) -> ModelParams:
     _require(doc, "n")
-    n = _int(doc, "n")
-    try:
-        k1, k2, x = _thresholds(doc, n)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    profile = _read(doc, ("profile",)).get("profile", "explicit")
+    fields = _read(doc, ("n", "m", "c", *_PROFILE_FIELDS.get(profile, ())))
     if "channels" in doc:
-        p, a = _channel_vectors(doc)
-        m = len(p)
-        if "m" in doc and _int(doc, "m") != m:
+        fields["p"], fields["a"] = _channel_vectors(doc)
+        m = len(fields["p"])
+        if fields.setdefault("m", m) != m:
             raise ConfigError(f"field 'm': {doc['m']} conflicts with {m} channel servers")
+        routing = ("channels", "f")
     else:
         _require(doc, "m", "a")
-        m = _int(doc, "m")
-        a = _probability_list(doc, "a")
-        p = _probability_list(doc, "p") if "p" in doc else uniform_probabilities(m)
-    c = _int(doc, "c") if "c" in doc else n
-    profile = doc.get("profile", "explicit")
-    routing = ("channels", "f") if "channels" in doc else ("a", "p")
-    _refuse_unread(doc, ("n", "m", "c", "profile", *_PROFILE_FIELDS[profile], *routing),
-                   f"{profile} model config")
+        routing = ("a", "p")
+        fields.update(_read(doc, routing))
     try:
-        return ModelParams(n=n, m=m, c=c, k1=k1, k2=k2, a=a, x=x, p=p)
+        params = make_params(profile, **fields)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    _refuse_unread(doc, ("n", "m", "c", "profile", *_PROFILE_FIELDS[profile], *routing),
+                   f"{profile} model config")
+    return params
 
 
 def load_model_params(path) -> ModelParams:
@@ -188,47 +171,25 @@ def load_model_params(path) -> ModelParams:
 
 def sweep_spec_from_dict(doc: dict) -> SweepSpec:
     _require(doc, "attacker", "n_from", "n_to")
-    timing = doc.get("timing", False)
-    if not isinstance(timing, bool):
-        raise ConfigError(f"field 'timing': expected true or false, got {timing!r}")
-    kwargs: dict[str, Any] = {
-        "attacker": doc["attacker"],
-        "profile": doc.get("profile", "lt-linear"),
-        "n_from": _int(doc, "n_from"),
-        "n_to": _int(doc, "n_to"),
-        "n_step": _int(doc, "n_step") if "n_step" in doc else 10,
-        "solver": doc.get("solver", "vi"),
-        "timing": timing,
-    }
+    profile = _read(doc, ("profile",)).get("profile", "lt-linear")
+    solver = doc.get("solver", "vi")
     if "channels" in doc:
-        p, a = _channel_vectors(doc)
-        kwargs.update(m=len(p), a=a, p=p)
         routing = ("channels", "f")
+        p, a = _channel_vectors(doc)
+        vectors = {"m": len(p), "a": a, "p": p}
     else:
-        _require(doc, "m")
-        kwargs["m"] = _int(doc, "m")
-        if "a" in doc:
-            kwargs["a"] = _probability_list(doc, "a")
-        elif "a_interval" in doc:
-            kwargs["a_interval"] = _probability_list(doc, "a_interval")
-            if len(kwargs["a_interval"]) != 2:
-                raise ConfigError("field 'a_interval': expected [low, high]")
-        else:
-            raise ConfigError("missing required field(s): a or a_interval")
-        if "p" in doc:
-            kwargs["p"] = _probability_list(doc, "p")
         routing = ("m", "p", "a" if "a" in doc else "a_interval")
-    readers = {**_SWEEP_PROFILE_FIELDS.get(kwargs["profile"], {}),
-               "c": _int, "samples": _int, "seed": _int}
-    for key, reader in readers.items():
-        if key in doc:
-            kwargs[key] = reader(doc, key)
+        vectors = _read(doc, routing)
+    # samples and seed steer the Monte-Carlo estimator only
+    read = ("n_from", "n_to", "n_step", "c", *_SWEEP_PROFILE_FIELDS.get(profile, ()),
+            *(("samples", "seed") if solver == "mc" else ()))
     try:
-        spec = SweepSpec(**kwargs)
+        spec = SweepSpec(attacker=doc["attacker"], profile=profile, solver=solver,
+                         timing=doc.get("timing", False), **vectors, **_read(doc, read))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    _refuse_unread(doc, ("attacker", "profile", "n_from", "n_to", "n_step", "solver",
-                         "timing", *readers, *routing), f"{spec.profile} sweep spec")
+    _refuse_unread(doc, ("attacker", "profile", "solver", "timing", *read, *routing),
+                   f"{profile} sweep spec with solver {solver!r}")
     return spec
 
 

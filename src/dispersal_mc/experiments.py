@@ -17,9 +17,8 @@ from itertools import compress
 from operator import mul
 from typing import Iterable
 
-from .models import (ModelParams, ParameterError, build_composed,
-                     lt_linear_profile, round_half_up, rs_profile,
-                     uniform_probabilities)
+from .models import (ModelParams, ParameterError, build_composed, check_thresholds,
+                     check_vectors, make_params, round_half_up)
 from .rationals import format_float
 from .solver import exact_reach, solve_reach
 
@@ -39,7 +38,8 @@ class SweepSpec:
     ``k2_ratio * n`` and fills the reconstruction curve linearly, and
     ``explicit`` takes ``k1``/``k2``/``x`` as given (single-point sweeps
     only). Attack probabilities come either from ``a`` or evenly spaced over
-    ``a_interval``. Capacity defaults to n (unbounded in effect).
+    ``a_interval``. The defaults of ``ratio``, ``c`` and ``p`` are those of
+    ``models.thresholds`` and ``models.make_params``.
     """
 
     attacker: str
@@ -51,7 +51,7 @@ class SweepSpec:
     a: tuple[Fraction, ...] | None = None
     a_interval: tuple[Fraction, Fraction] | None = None
     c: int | None = None
-    ratio: Fraction = Fraction(7, 10)
+    ratio: Fraction | None = None
     k1_ratio: Fraction = Fraction(3, 5)
     k2_ratio: Fraction = Fraction(4, 5)
     k1: int | None = None
@@ -66,26 +66,21 @@ class SweepSpec:
     def __post_init__(self):
         if self.attacker not in ("slice", "provider"):
             raise ParameterError(f"unknown attacker kind {self.attacker!r}")
-        if self.profile not in ("rs", "lt-linear", "explicit"):
-            raise ParameterError(f"unknown profile {self.profile!r}")
         if self.solver not in ("vi", "exact", "mc"):
             raise ParameterError(f"unknown solver mode {self.solver!r}")
         if self.n_step < 1 or self.n_from < 1 or self.n_to < self.n_from:
             raise ParameterError("need 1 <= n_from <= n_to and a positive step")
-        if self.m is None:
-            raise ParameterError("m (number of servers/providers) is required")
-        if self.m < 1:
+        if self.m is None or self.m < 1:
             raise ParameterError(f"need m >= 1 servers/providers, got m={self.m}")
         if self.a is None and self.a_interval is None:
             raise ParameterError("either a or a_interval is required")
-        for name in ("a", "p"):
-            given = getattr(self, name)
-            if given is not None and len(given) != self.m:
-                raise ParameterError(f"field {name!r}: expected {self.m} probabilities "
-                                     f"for m={self.m}, got {len(given)}")
-        if self.p is not None and sum(self.p, Fraction(0)) != 1:
-            raise ParameterError(f"field 'p': routing probabilities sum to "
-                                 f"{sum(self.p, Fraction(0))}, not 1")
+        if self.a_interval is not None and len(self.a_interval) != 2:
+            raise ParameterError("field 'a_interval': expected [low, high]")
+        if not isinstance(self.timing, bool):
+            raise ParameterError(f"field 'timing': expected true or false, got {self.timing!r}")
+        check_vectors(self.m, self.a, self.p)
+        if self.profile != "lt-linear":  # a sweep rounds lt-linear thresholds per point
+            check_thresholds(self.profile, ratio=self.ratio, k1=self.k1, k2=self.k2, x=self.x)
         if self.profile == "explicit" and self.n_from != self.n_to:
             raise ParameterError("explicit profiles only support single-point sweeps")
 
@@ -117,22 +112,14 @@ def attack_vector(spec: SweepSpec) -> tuple[Fraction, ...]:
 
 
 def params_for(spec: SweepSpec, n: int) -> ModelParams:
-    """Instantiate the parameter vector of one sweep point."""
-    if spec.profile == "rs":
-        k1, k2 = rs_profile(n, spec.ratio)
-        x = tuple(Fraction(1) for _ in range(k1, n + 1))
-    elif spec.profile == "lt-linear":
+    """Instantiate the parameter vector of one sweep point. Its lt-linear k1 and k2
+    round ``k1_ratio * n`` and ``k2_ratio * n`` halves up, clamped to [1, n], k1 <= k2."""
+    k1, k2 = spec.k1, spec.k2
+    if spec.profile == "lt-linear":
         k1 = max(1, min(n, round_half_up(spec.k1_ratio * n)))
         k2 = max(k1, min(n, round_half_up(spec.k2_ratio * n)))
-        x = lt_linear_profile(k1, k2, n)
-    else:
-        if spec.k1 is None or spec.k2 is None or spec.x is None:
-            raise ParameterError("explicit profile requires k1, k2 and x")
-        k1, k2, x = spec.k1, spec.k2, tuple(spec.x)
-    c = spec.c if spec.c is not None else n
-    p = tuple(spec.p) if spec.p is not None else uniform_probabilities(spec.m)
-    return ModelParams(n=n, m=spec.m, c=c, k1=k1, k2=k2,
-                       a=attack_vector(spec), x=x, p=p)
+    return make_params(spec.profile, n, spec.m, attack_vector(spec), p=spec.p, c=spec.c,
+                       ratio=spec.ratio, k1=k1, k2=k2, x=spec.x)
 
 
 def _solve_point(spec: SweepSpec, n: int) -> SweepRow:

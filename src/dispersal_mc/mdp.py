@@ -361,58 +361,6 @@ class Mdp:
         return f"<Mdp {self.state_count} states, {self.transition_count} transitions>"
 
 
-def validate(m: Mdp) -> list[str]:
-    """Check the defining invariants of an MDP, returning one message per violation.
-
-    An empty list means: state codes are distinct and each decodes inside
-    the declared ranges, the initial distribution sums to exactly 1 over
-    states, every table mass is positive, both offset arrays rise from 0 to
-    the length of the arrays they index, action and weight ids index their
-    tables, and each choice's targets are states in strictly increasing
-    order whose masses sum to exactly 1. A broken offset array or action id
-    ends the check, since the choices cannot be walked.
-    """
-    n, fc, fe, tg, wi = m.state_count, m.first_choice, m.first_edge, m.targets, m.weight_ids
-    size, first = math.prod(high - low + 1 for low, high in m.ranges), {}
-    problems = [f"state {s}: code {c} is outside the declared ranges"
-                for s, c in enumerate(m.codes) if not 0 <= c < size]
-    problems += [f"state {s}: code {c} repeats state {first[c]}"
-                 for s, c in enumerate(m.codes) if first.setdefault(c, s) != s]
-    total = m.initial.total()
-    problems += [f"initial distribution: mass {total} != 1"] if total != 1 else []
-    problems += [f"initial distribution: target {t} is not a state"
-                 for t in m.initial.support if not 0 <= t < n]
-    problems += [f"weight table: mass {w} is not positive" for w in m.weights if w <= 0]
-    for name, offsets, rows, cells in (("first_choice", fc, n, m.choice_action),
-                                       ("first_edge", fe, len(m.choice_action), tg),
-                                       ("first_edge", fe, len(m.choice_action), wi)):
-        if (len(offsets) != rows + 1 or offsets[0] != 0 or offsets[-1] != len(cells)
-                or any(a > b for a, b in zip(offsets, offsets[1:]))):
-            return problems + [f"{name}: offsets do not rise from 0 to {len(cells)} "
-                               f"in {rows + 1} entries"]
-    bad = [f"choice {c}: action id {a} is not in the table"
-           for c, a in enumerate(m.choice_action) if not 0 <= a < len(m.actions)]
-    if bad:
-        return problems + bad
-    for s in range(n):
-        for c in range(fc[s], fc[s + 1]):
-            where = f"state {s}, action {m.actions[m.choice_action[c]]!r}"
-            mass, last = Fraction(0), -1
-            for t, w in zip(tg[fe[c]:fe[c + 1]], wi[fe[c]:fe[c + 1]]):
-                if not 0 <= t < n:
-                    problems.append(f"{where}: target {t} is not a state")
-                elif t <= last:
-                    problems.append(f"{where}: target {t} follows {last}, not increasing")
-                last = t
-                if 0 <= w < len(m.weights):
-                    mass += m.weights[w]
-                else:
-                    problems.append(f"{where}: weight id {w} is not in the table")
-            if mass != 1:
-                problems.append(f"{where}: mass {mass} != 1")
-    return problems
-
-
 def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
     """Yield the strongly connected components of the transition graph, sinks first.
 

@@ -43,6 +43,21 @@ def _frac(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def check_vectors(m: int, a=None, p=None) -> None:
+    """Refuse an attack vector ``a`` or routing vector ``p`` unfit for ``m`` servers."""
+    for name, given in (("a", a), ("p", p)):
+        if given is not None and len(given) != m:
+            raise ParameterError(f"field {name!r}: expected {m} probabilities "
+                                 f"for m={m}, got {len(given)}")
+    if a is not None and any(not 0 <= v <= 1 for v in a):
+        raise ParameterError("field 'a': every a[i] must lie in [0, 1]")
+    if p is not None and any(v < 0 for v in p):
+        raise ParameterError("field 'p': routing probabilities must be nonnegative")
+    if p is not None and sum(p, Fraction(0)) != 1:
+        raise ParameterError(f"field 'p': routing probabilities sum to "
+                             f"{sum(p, Fraction(0))}, not 1")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter vector shared by the client and intruder models.
@@ -63,25 +78,15 @@ class ModelParams:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(_frac(v) for v in self.a))
-        object.__setattr__(self, "x", tuple(_frac(v) for v in self.x))
-        object.__setattr__(self, "p", tuple(_frac(v) for v in self.p))
+        for name in ("a", "x", "p"):
+            object.__setattr__(self, name, tuple(_frac(v) for v in getattr(self, name)))
         if min(self.n, self.m, self.c) < 1:
             raise ParameterError("n, m and c must be positive")
         if not 1 <= self.k1 <= self.k2 <= self.n:
             raise ParameterError(f"need 1 <= k1 <= k2 <= n, got k1={self.k1} k2={self.k2} n={self.n}")
         if self.n > self.m * self.c:
             raise ParameterError(f"need n <= m*c, got n={self.n} m={self.m} c={self.c}")
-        if len(self.a) != self.m:
-            raise ParameterError(f"a must list {self.m} probabilities, got {len(self.a)}")
-        if any(not 0 <= v <= 1 for v in self.a):
-            raise ParameterError("every a[i] must lie in [0, 1]")
-        if len(self.p) != self.m:
-            raise ParameterError(f"p must list {self.m} probabilities, got {len(self.p)}")
-        if any(v < 0 for v in self.p):
-            raise ParameterError("routing probabilities must be nonnegative")
-        if sum(self.p, Fraction(0)) != 1:
-            raise ParameterError(f"routing probabilities sum to {sum(self.p, Fraction(0))}, not 1")
+        check_vectors(self.m, self.a, self.p)
         if len(self.x) != self.n - self.k1 + 1:
             raise ParameterError(
                 f"x must list {self.n - self.k1 + 1} values for j in [{self.k1}, {self.n}]")
@@ -123,8 +128,6 @@ class Channel:
             raise ParameterError("channel routing distribution indexes outside 1..size")
         if not 0 <= self.a <= 1:
             raise ParameterError("channel attack probability outside [0, 1]")
-        if self.size == 1 and self.g != Distribution.uniform(1):
-            raise ParameterError("a size-1 channel must route with the point distribution")
 
 
 def expand_channels(f: Distribution, channels: Sequence[Channel]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -165,12 +168,10 @@ def round_half_up(value: Fraction) -> int:
 def rs_profile(n: int, ratio) -> tuple[int, int]:
     """Single-threshold profile: k1 = k2 = round(ratio * n), halves up."""
     ratio = _frac(ratio)
-    if not 0 < ratio <= 1:
-        raise ParameterError(f"ratio {ratio} outside (0, 1]")
+    check_thresholds("rs", ratio=ratio)
     k = round_half_up(ratio * n)
     if k < 1:
         raise ParameterError(f"ratio {ratio} rounds to a zero threshold for n={n}")
-    k = min(k, n)
     return k, k
 
 
@@ -184,6 +185,49 @@ def lt_linear_profile(k1: int, k2: int, n: int) -> tuple[Fraction, ...]:
         raise ParameterError(f"need 1 <= k1 <= k2 <= n, got {k1}, {k2}, {n}")
     delta = Fraction(1, k2 - k1 + 1)
     return tuple((min(j, k2) - k1 + 1) * delta for j in range(k1, n + 1))
+
+
+def check_thresholds(profile: str, *, ratio=None, k1=None, k2=None, x=None) -> None:
+    """Refuse the threshold faults that hold at every n: an unknown profile, a
+    ratio outside (0, 1], and a field that the profile needs but lacks."""
+    needs = {"rs": (), "lt-linear": ("k1", "k2"), "explicit": ("k1", "k2", "x")}
+    if profile not in needs:
+        raise ParameterError(f"field 'profile': unknown profile {profile!r}")
+    if ratio is not None and not 0 < ratio <= 1:
+        raise ParameterError(f"field 'ratio': {ratio} outside (0, 1]")
+    given = {"k1": k1, "k2": k2, "x": x}
+    missing = [name for name in needs[profile] if given[name] is None]
+    if missing:
+        raise ParameterError(f"missing required field(s): {', '.join(missing)}")
+
+
+def thresholds(profile: str, n: int, *, ratio=None, k1=None, k2=None, x=None
+               ) -> tuple[int, int, tuple[Fraction, ...]]:
+    """The thresholds and reconstruction curve ``(k1, k2, x)`` of a profile at n slices.
+
+    ``rs`` derives k1 = k2 from ``ratio`` (7/10 by default), and a given k1 or
+    k2 must agree; ``lt-linear`` fills x linearly from k1 and k2; ``explicit``
+    takes all three as given.
+    """
+    check_thresholds(profile, ratio=ratio, k1=k1, k2=k2, x=x)
+    if profile == "rs":
+        k, _ = rs_profile(n, Fraction(7, 10) if ratio is None else ratio)
+        for name, given in (("k1", k1), ("k2", k2)):
+            if given is not None and given != k:
+                raise ParameterError(f"field {name!r}: {given} conflicts with ratio-derived {k}")
+        return k, k, tuple(Fraction(1) for _ in range(k, n + 1))
+    if profile == "lt-linear":
+        return k1, k2, lt_linear_profile(k1, k2, n)
+    return k1, k2, tuple(x)
+
+
+def make_params(profile: str, n: int, m: int, a, *, p=None, c=None,
+                **threshold_fields) -> ModelParams:
+    """The parameter vector of n slices over m servers with the thresholds of
+    ``thresholds``; capacity defaults to n (it never binds), routing to uniform."""
+    k1, k2, x = thresholds(profile, n, **threshold_fields)
+    return ModelParams(n=n, m=m, c=n if c is None else c, k1=k1, k2=k2, a=a, x=x,
+                       p=uniform_probabilities(m) if p is None else p)
 
 
 def build_client(params: ModelParams, *, reduced: bool = False) -> TemplateModule:

@@ -16,7 +16,8 @@ from dispersal_mc.bisim import (NotBisimulationError, Partition, _verify, bisimi
 from dispersal_mc.mdp import sccs
 from dispersal_mc.models import HACKED, AbstractionPreconditionError, expand_channels
 from dispersal_mc.solver import solve_reach
-from helpers import coarsest_by_bruteforce, make_mdp, random_mdp, refine_by_rounds
+from helpers import (coarsest_by_bruteforce, make_mdp, random_mdp, refine_by_rounds,
+                     same_block)
 
 F = Fraction
 A3 = (F(1, 10), F(1, 5), F(3, 10))
@@ -38,7 +39,7 @@ class TestCoarsestBisimulation:
         m = make_mdp({0: {"a": {0: 1}}, 1: {"a": {1: 1}}}, labels={1: ("g",)})
         part = coarsest_bisimulation(m)
         assert part.num_blocks == 2
-        assert not part.same_block(0, 1)
+        assert not same_block(part, 0, 1)
 
     def test_identical_middle_states_merge(self):
         m = make_mdp({0: {"a": {1: F(1, 2), 2: F(1, 2)}},
@@ -47,7 +48,7 @@ class TestCoarsestBisimulation:
                       3: {}},
                      labels={3: ("g",)})
         part = coarsest_bisimulation(m)
-        assert part.same_block(1, 2)
+        assert same_block(part, 1, 2)
         brute = coarsest_by_bruteforce(m)
         assert part.num_blocks == len(brute)
 
@@ -64,7 +65,7 @@ class TestCoarsestBisimulation:
                     brute_id[s] = i
             for s in range(len(m.states)):
                 for t in range(len(m.states)):
-                    assert part.same_block(s, t) == (brute_id[s] == brute_id[t])
+                    assert same_block(part, s, t) == (brute_id[s] == brute_id[t])
 
     def test_acyclic_state_and_self_loop_share_a_block(self):
         # state 0 reaches g in one step, state 1 may loop first: numbering

@@ -11,6 +11,7 @@ from dispersal_mc.cli import build_parser, main
 from dispersal_mc.configio import (ConfigError, channel_cutoff_from_dict, load_json,
                                   load_model_params, load_sweep_spec,
                                   model_params_from_dict, sweep_spec_from_dict)
+from dispersal_mc.experiments import params_for
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,6 +95,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             load_sweep_spec(write_json(tmp_path, "s.json", doc))
 
+    @pytest.mark.parametrize("shared, config, sweep", [
+        ({"m": 3, "a": ["0.1", "0.2", "0.3"]}, {"profile": "rs"}, {"profile": "rs"}),
+        ({"m": 3, "a": ["0.1", "0.2", "0.3"], "p": ["1/2", "1/4", "1/4"]},
+         {"profile": "rs", "ratio": "0.45"}, {"profile": "rs", "ratio": "0.45"}),
+        ({"m": 3, "a": ["0.1", "0.2", "0.3"]}, {"profile": "lt-linear", "k1": 6, "k2": 8},
+         {"profile": "lt-linear", "k1_ratio": "0.55", "k2_ratio": "0.75"}),
+        ({"m": 3, "c": 4, "a": ["0.1", "0.2", "0.3"], "profile": "explicit", "k1": 9,
+          "k2": 10, "x": ["1/2", "1"]}, {}, {}),
+        ({"channels": [{"size": 2, "g": ["1/4", "3/4"], "a": "0.1"}, {"size": 1, "a": "0.4"}],
+          "f": ["1/3", "2/3"]}, {"profile": "lt-linear", "k1": 6, "k2": 8},
+         {"profile": "lt-linear", "k1_ratio": "0.6", "k2_ratio": "0.8"}),
+    ], ids=["rs-default-ratio", "rs-ratio", "lt-linear", "explicit", "channels"])
+    def test_model_config_and_sweep_point_agree(self, shared, config, sweep):
+        # the same point read by both loaders must give the same parameter vector
+        params = model_params_from_dict({"n": 10, **shared, **config})
+        spec = sweep_spec_from_dict({"attacker": "slice", "n_from": 10, "n_to": 10,
+                                     **shared, **sweep})
+        assert params_for(spec, 10) == params
+
     def test_sweep_spec_interval(self, tmp_path):
         doc = {"attacker": "provider", "profile": "lt-linear",
                "n_from": 10, "n_to": 20, "n_step": 10, "m": 5,
@@ -172,7 +192,13 @@ class TestCli:
         ("check", {"n": 5, "m": 1, "profile": "rs", "ratio": "0", "a": ["1/2"]}),
         ("sweep", {"attacker": "slice", "profile": "lt-linear", "n_from": 5,
                    "n_to": 5, "m": 0, "a_interval": ["0", "0.25"]}),
-    ], ids=["lt-linear-k1-above-k2", "rs-zero-ratio", "sweep-zero-servers"])
+        ("sweep", dict(SWEEP, profile="explicit")),
+        ("sweep", dict(SWEEP, profile="rs", ratio="0")),
+        ("check", dict(THM3, profile=["lt-linear"])),
+        ("sweep", dict(SWEEP, profile=["lt-linear"])),
+    ], ids=["lt-linear-k1-above-k2", "rs-zero-ratio", "sweep-zero-servers",
+            "sweep-explicit-without-thresholds", "sweep-rs-zero-ratio",
+            "profile-not-a-string", "sweep-profile-not-a-string"])
     def test_config_fault_exit_two(self, tmp_path, capsys, command, doc):
         cfg = str(write_json(tmp_path, "fault.json", doc))
         argv = (["check", "--config", cfg, "--attacker", "slice"] if command == "check"
@@ -197,10 +223,13 @@ class TestCli:
         ("verify-thm2", dict(THM2, channels=[{"size": 2, "sizee": 3, "a": "0.1"}]), "sizee"),
         ("verify-thm2", dict(THM2, a=["0.1"]), "a"),
         ("verify-thm2", dict(THM2, profile="rs"), "profile"),
+        ("sweep", dict(SWEEP, samples=5), "samples"),
+        ("sweep", dict(SWEEP, seed=9), "seed"),
     ], ids=["capacity", "x-lt-linear", "x-rs", "ratio-explicit", "f-no-channels",
             "solver-in-model", "a-next-to-channels", "p-next-to-channels", "n_stpe",
             "a_interval-next-to-a", "f-in-sweep", "m-next-to-channels",
-            "channel-entry-sizee", "a-in-thm2", "profile-in-thm2"])
+            "channel-entry-sizee", "a-in-thm2", "profile-in-thm2", "samples-not-mc",
+            "seed-not-mc"])
     def test_unread_field_refused(self, tmp_path, capsys, command, doc, field):
         # each case ran with exit 0 while loaders ignored fields they did not read
         cfg = str(write_json(tmp_path, "cfg.json", doc))
@@ -210,6 +239,17 @@ class TestCli:
         code, _ = run(argv)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
+
+    def test_n_dependent_fault_stays_a_row(self, tmp_path, capsys):
+        # ratio 1/10 rounds to a zero threshold at n = 1 but not at n = 11
+        spec = write_json(tmp_path, "rs.json", dict(SWEEP, profile="rs", ratio="1/10",
+                                                      n_from=1, n_to=11, n_step=10))
+        out_csv = tmp_path / "out.csv"
+        code, _ = run(["sweep", "--spec", str(spec), "--out", str(out_csv)])
+        assert code == 1
+        assert "n=1: ParameterError: " in capsys.readouterr().err
+        rows = out_csv.read_text().splitlines()[1:]
+        assert rows[0].startswith("1,,,") and rows[1].startswith("11,0.")
 
     def test_shipped_and_benchmark_inputs_load(self):
         # every file under configs/ and every input the benchmark writes goes

@@ -11,11 +11,11 @@ from dispersal_mc import (AbstractionPreconditionError, Channel, Distribution,
                           ModelParams, ParameterError, build_client,
                           build_composed, expand,
                           expand_channels, lt_linear_profile, round_half_up,
-                          rs_profile, uniform_probabilities, validate)
+                          rs_profile, uniform_probabilities)
 from dispersal_mc.models import (HACKED, build_provider_attacker,
                                  build_slice_attacker)
 from dispersal_mc.solver import exact_reach, solve_reach
-from helpers import explore_client_states, random_params
+from helpers import explore_client_states, random_params, validate
 
 F = Fraction
 
