@@ -33,21 +33,21 @@ def curves(n_to: int, big_n_to: int):
     for attacker in ("slice", "provider"):
         yield (f"rs_vs_lt_{attacker}_rs",
                SweepSpec(attacker=attacker, profile="rs", n_from=10, n_to=n_to,
-                         m=3, a=LOW_A, timing=True))
+                         m=3, a=LOW_A))
         yield (f"rs_vs_lt_{attacker}_lt",
                SweepSpec(attacker=attacker, profile="lt-linear", n_from=10,
-                         n_to=n_to, m=3, a=LOW_A, timing=True))
+                         n_to=n_to, m=3, a=LOW_A))
         yield (f"attack_levels_{attacker}_low",
                SweepSpec(attacker=attacker, profile="lt-linear", n_from=10,
-                         n_to=n_to, m=3, a=LOW_A, timing=True))
+                         n_to=n_to, m=3, a=LOW_A))
         yield (f"attack_levels_{attacker}_high",
                SweepSpec(attacker=attacker, profile="lt-linear", n_from=10,
-                         n_to=n_to, m=3, a=HIGH_A, timing=True))
+                         n_to=n_to, m=3, a=HIGH_A))
         for m in (5, 10):
             yield (f"group_count_{attacker}_m{m}",
                    SweepSpec(attacker=attacker, profile="lt-linear", n_from=10,
                              n_to=big_n_to if m == 10 else n_to, m=m,
-                             a_interval=(F(0), F(1, 4)), timing=True))
+                             a_interval=(F(0), F(1, 4))))
 
 
 def main() -> int:

@@ -18,7 +18,7 @@ from .experiments import OracleCapError, emit_csv, enumerate_oracle, sweep
 from .models import AbstractionPreconditionError, Channel, ParameterError, build_composed
 from .mdp import Distribution, ModelError
 from .prism import export_prism
-from .rationals import format_float, format_rational
+from .rationals import format_decimal, format_float, format_rational
 from .solver import QueryError, SolverError, exact_reach, solve_reach
 
 
@@ -121,7 +121,7 @@ def _cmd_oracle(args, out) -> int:
     params = load_model_params(args.config)
     value = enumerate_oracle(params, args.attacker)
     payload = {"probability": format_rational(value),
-               "decimal": format_float(float(value))}
+               "decimal": format_decimal(value)}
     _emit(payload, args.format, out)
     return 0
 

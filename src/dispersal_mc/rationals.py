@@ -39,3 +39,20 @@ def format_rational(q: Fraction) -> str:
 def format_float(x: float) -> str:
     """Render a float with 12 significant digits."""
     return f"{x:.12g}"
+
+
+def format_decimal(q: Fraction) -> str:
+    """Render a probability in ``format_float``'s layout from its exact value,
+    rounded once to 12 significant digits, half to even."""
+    if not q:
+        return "0"
+    e = len(str(q.numerator)) - len(str(q.denominator))
+    e -= q < Fraction(10) ** e  # now 10**e <= q < 10**(e + 1)
+    d = round(q * Fraction(10) ** (11 - e))
+    if d == 10 ** 12:
+        d, e = d // 10, e + 1
+    sci = not -4 <= e < 12
+    digits = str(d) if sci else "0" * -e + str(d)
+    point = 1 if sci else max(e, 0) + 1
+    tail = digits[point:].rstrip("0")
+    return digits[:point] + "." * bool(tail) + tail + (f"e{e:+03d}" if sci else "")

@@ -4,23 +4,20 @@ One engine serves floats (``solve_reach``) and exact ``Fraction``s
 (``exact_reach``). It solves the strongly connected components sinks first
 (topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no value
 depends on a stopping rule; floats differ from exact values by rounding only.
-A first sweep backs the states up in reverse index order, each from slices of
-the flat arrays; on a model whose discovery order is topological (every
-``c >= n`` model) that is the whole solve. At the first edge that does not go
-to a later state, a Tarjan pass (:func:`~dispersal_mc.mdp.sccs`) orders the
-components instead. A state with one choice whose successors agree in both
-directions is backed up once for both, and so is a cyclic component whose
-states have one action each.
+One sweep backs the states up in reverse index order, which solves every
+``c >= n`` model; where it meets an edge back, a Tarjan DFS from there solves
+the components it reaches, and the sweep goes on. One backup serves both
+directions where the successors agree, and one elimination a one-action cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 from operator import mul
 
-from .mdp import Mdp, sccs
+from .mdp import Mdp
 
 
 class QueryError(ValueError):
@@ -71,12 +68,12 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
     """Every state's value, one list per direction (``min`` or ``max`` in
     ``bests``), and the policy evaluations spent.
 
-    Targets are absorbing. One sweep backs the states up in reverse index
-    order, which is sinks first while every edge out of a non-target goes to
-    a later state (targets ascend within a choice, so its first edge decides).
-    At the first edge that does not, the SCC pass solves the model again in
-    the same lists: each value it reads is one it has already written.
-    Entries not written hold the integer 0, the value of a state without actions.
+    Targets are absorbing. The sweep backs the states up in reverse index
+    order while every edge out of a non-target goes to a later state (targets
+    ascend within a choice, so its first edge decides). A state with an edge
+    that does not goes to ``_components``, and the sweep skips what that
+    solved. Entries not written hold the integer 0, the value of a state
+    without actions.
     """
     if target not in m.ap:
         raise QueryError(f"proposition {target!r} is not in the model's alphabet")
@@ -119,69 +116,118 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
 
     for s in targets:
         lo[s] = hi[s] = one
-    for s in reversed(range(m.state_count)):
+    order = reversed(range(m.state_count))
+    for s in order:
         if s not in targets and not backup(s, s):
             break
     else:
         return values, 0
-    rounds = 0
-    for scc in sccs(m, targets):
-        s = scc[0]  # a target is absorbing, so a component of its own
-        if len(scc) > 1 or s not in targets and s in tg[fe[fc[s]]:fe[fc[s + 1]]]:
-            acts = {s: [list(zip(tg[fe[c]:fe[c + 1]], map(weight, wi[fe[c]:fe[c + 1]])))
-                        for c in range(fc[s], fc[s + 1])] for s in scc}
-            rounds += _solve_component(acts, values, bests)
-        elif s not in targets:
+
+    def solve(comp) -> int:
+        s = comp[0]
+        if len(comp) == 1 and s not in tg[fe[fc[s]]:fe[fc[s + 1]]]:
             backup(s, -1)
+            return 0
+        acts = {s: [list(zip(tg[fe[c]:fe[c + 1]], map(weight, wi[fe[c]:fe[c + 1]])))
+                    for c in range(fc[s], fc[s + 1])] for s in comp}
+        return _solve_component(acts, values, bests)
+
+    # Tarjan's arrays, from the first back edge on; a target is solved already
+    index, low = [0] * m.state_count, [0] * m.state_count
+    for t in targets:
+        index[t] = m.state_count + 1
+    rounds = _components(s, m, index, low, solve)
+    for s in order:
+        if not index[s] and not backup(s, s):
+            rounds += _components(s, m, index, low, solve)
     return values, rounds
 
 
-def _solve_component(acts, values, bests) -> int:
-    """Solve one cyclic SCC in place in every list, its exits final there.
-
-    A component where every state has one action is a Markov chain: min and
-    max are its least solution, solved once when every exit agrees in all
-    lists. Otherwise each direction runs policy iteration. Returns the number
-    of policy evaluations, counted per direction as the separate solves do.
+def _components(root, m: Mdp, index, low, solve) -> int:
+    """Tarjan's DFS (SIAM J. Comput. 1, 1972), made iterative, from ``root``
+    over the states not yet solved. Each strongly connected component goes to
+    ``solve`` as it completes, sinks first; returns the sum of what it returns.
+    States above ``root`` are solved, and so is each one whose index is past
+    every DFS number (a target, or a component solved before): both are leaves.
     """
-    lo, hi = values[0], values[-1]
-    if all(len(row) == 1 and all(lo[t] == hi[t] for t, _ in row[0] if t not in acts)
-           for row in acts.values()):
-        x = _evaluate({s: _split(row[0], acts, lo) for s, row in acts.items()})
-        for v in values:
-            for s in acts:
-                v[s] = x.get(s, 0)
-        return sum(best is max or bool(x) for best in bests)
-    return sum(_improve(acts, v, best) for v, best in zip(values, bests))
+    fc, fe, tg = m.first_choice, m.first_edge, m.targets
+    done, stack, number, rounds = m.state_count + 1, [], count(1), 0
+
+    def visit(s):
+        index[s] = low[s] = next(number)
+        stack.append(s)
+        return s, iter(tg[fe[fc[s]]:fe[fc[s + 1]]])
+
+    work = [visit(root)]
+    while work:
+        s, succ = work[-1]
+        for t in succ:
+            if t <= root:
+                k = index[t]
+                if not k:
+                    work.append(visit(t))
+                    break
+                if k < low[s]:
+                    low[s] = k
+        else:
+            work.pop()
+            if work and low[s] < low[work[-1][0]]:
+                low[work[-1][0]] = low[s]
+            if low[s] == index[s]:
+                comp = [stack.pop()]
+                while comp[-1] != s:
+                    comp.append(stack.pop())
+                for t in comp:
+                    index[t] = done
+                rounds += solve(comp)
+    return rounds
 
 
-def _split(pairs, acts, v):
-    """An action as (its weights inside the SCC, the value it collects from its exits)."""
-    return ({t: w for t, w in pairs if t in acts},
-            sum(w * v[t] for t, w in pairs if t not in acts))
+def _solve_component(acts, values, bests) -> int:
+    """Solve one cyclic SCC in place in every list, its exits final there, and
+    return the policy evaluations, counted per direction. If every state has
+    one action, the SCC is a strongly connected Markov chain (every state
+    reaches a positive exit, or none does and all are 0): one elimination,
+    with a right-hand side per distinct live exit vector, solves it; that
+    counts 1 for max, and 1 for min unless its values are 0.
+    """
+    if any(len(row) > 1 for row in acts.values()):
+        return sum(_improve(acts, v, best) for v, best in zip(values, bests))
+    rhs = [{s: sum(w * v[t] for t, w in row[0] if t not in acts) for s, row in acts.items()}
+           for v in values]
+    alive = [any(b.values()) for b in rhs]
+    live = list(compress(rhs, alive))
+    xs = _solve_linear(sorted(acts, reverse=True),
+                       {s: {t: w for t, w in row[0] if t in acts} for s, row in acts.items()},
+                       live[:1] if live[-1] == live[0] else live) if live else [{}]
+    for v, x, live_here in zip(values, (xs[0], xs[-1]), alive):
+        for s in acts:
+            v[s] = x[s] if live_here else 0
+    return sum(best is max or live_here for live_here, best in zip(alive, bests))
 
 
 def _improve(acts, v, best) -> int:
-    """Solve one cyclic SCC in place in ``v`` by policy iteration.
+    """Solve one cyclic SCC in place in ``v`` by policy iteration, and return
+    the number of policy evaluations.
 
     For min, the SCC's Prob0 set (a scheduler can stay inside or leave only to
     value-0 states) keeps 0; outside it every policy leaves the SCC, so strict
-    improvement ends at the optimum. For max, ``_evaluate`` takes least
-    solutions, which are Bellman fixpoints once no improvement is left. A
-    repeated policy (float round-off between equal actions) also ends the
-    loop. Only states with a choice look for an improvement. Returns the
-    number of policy evaluations.
+    improvement ends at the optimum. Each evaluation takes the least solution:
+    states with no path to a positive exit keep 0, and the system left is
+    nonsingular, since mass leaks out of it from every state. For max, least
+    solutions are Bellman fixpoints once no improvement is left. A repeated
+    policy (float round-off between equal actions) also ends the loop. Only
+    states with a choice look for an improvement.
     """
-    split = {s: [_split(pairs, acts, v) for pairs in row] for s, row in acts.items()}
+    split = {s: [({t: w for t, w in pairs if t in acts},  # (inside weights, exit value)
+                  sum(w * v[t] for t, w in pairs if t not in acts)) for pairs in row]
+             for s, row in acts.items()}
     if best is min:
-        trap = set(split)
-        shrunk = True
-        while shrunk:
-            shrunk = False
-            for s in list(trap):
-                if all(b or not trap.issuperset(inner) for inner, b in split[s]):
-                    trap.discard(s)
-                    shrunk = True
+        trap, left = set(split), None
+        while trap != left:
+            left = trap
+            trap = {s for s in left if any(not b and left.issuperset(inner)
+                                           for inner, b in split[s])}
         for s in trap:
             del split[s]
     policy = dict.fromkeys(split, 0)
@@ -190,7 +236,14 @@ def _improve(acts, v, best) -> int:
     x: dict = {}
     while split:
         seen.add(tuple(policy.values()))
-        x = _evaluate({s: split[s][i] for s, i in policy.items()})
+        chosen = {s: split[s][i] for s, i in policy.items()}
+        alive, known = {s for s, (_, b) in chosen.items() if b}, None
+        while alive != known:
+            known = alive
+            alive = known | {s for s, (inner, _) in chosen.items() if not known.isdisjoint(inner)}
+        x = _solve_linear(sorted(alive, reverse=True),
+                          {s: {t: w for t, w in chosen[s][0].items() if t in alive} for s in alive},
+                          [{s: chosen[s][1] for s in alive}])[0]
         for s, row in choices:
             qs = [b + sum(w * x.get(t, 0) for t, w in inner.items()) for inner, b in row]
             i = best(range(len(qs)), key=qs.__getitem__)
@@ -203,58 +256,33 @@ def _improve(acts, v, best) -> int:
     return len(seen)
 
 
-def _evaluate(chosen) -> dict:
-    """Least solution of x = inner x + b under one action per state.
-
-    Only states with a path to a positive exit are solved; the others,
-    absent from the result, have value 0. The system left is nonsingular,
-    since mass leaks out of it from every state.
-    """
-    alive = {s for s, (_, b) in chosen.items() if b}
-    grew = True
-    while grew:
-        grew = False
-        for s, (inner, _) in chosen.items():
-            if s not in alive and not alive.isdisjoint(inner):
-                alive.add(s)
-                grew = True
-    rows = {s: {t: w for t, w in chosen[s][0].items() if t in alive} for s in alive}
-    return _solve_linear(sorted(alive, reverse=True), rows,
-                         {s: chosen[s][1] for s in alive})
-
-
 def _solve_linear(order: list[int], rows: dict[int, dict[int, Fraction]],
-                  rhs: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Solve x = A x + b by sparse elimination in the given variable order.
-
-    Each ``rows[s]`` maps successor variables to their coefficients. The
-    elimination order should roughly follow reverse topological order to keep
-    fill-in small; correctness does not depend on it.
+                  rhs: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Solve x = A x + b by sparse elimination in the given variable order, for
+    each b in ``rhs`` with the same operations as alone; one solution per b.
+    Each ``rows[s]`` maps variables of ``order`` to their coefficients. The
+    order should roughly follow reverse topological order to keep fill-in
+    small; correctness does not depend on it.
     """
     pred: dict[int, set[int]] = {s: set() for s in order}
     for s, row in rows.items():
         for t in row:
-            if t in pred:
-                pred[t].add(s)
-    solved: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-    remaining = set(order)
+            pred[t].add(s)
+    solved: dict[int, tuple[dict[int, Fraction], list[Fraction]]] = {}
     for s in order:
         row = rows.pop(s)
-        b = rhs.pop(s)
+        bs = [b.pop(s) for b in rhs]
         diag = row.pop(s, 0)
         if diag == 1:
             raise SolverError("singular reachability system (probability-1 self loop)")
         if diag:
             scale = 1 / (1 - diag)
             row = {t: c * scale for t, c in row.items()}
-            b *= scale
-        solved[s] = (row, b)
-        remaining.discard(s)
+            bs = [b * scale for b in bs]
+        solved[s] = (row, bs)
         for p in list(pred[s]):
-            if p not in remaining:
-                continue
-            prow = rows[p]
-            coef = prow.pop(s, None)
+            prow = rows.get(p)  # None once p is eliminated
+            coef = None if prow is None else prow.pop(s, None)
             if coef is None:
                 continue
             for t, c in row.items():
@@ -264,11 +292,12 @@ def _solve_linear(order: list[int], rows: dict[int, dict[int, Fraction]],
                     prow.pop(t, None)
                 else:
                     prow[t] = nxt
-                    if t in pred:
-                        pred[t].add(p)
-            rhs[p] = rhs[p] + coef * b
-    values: dict[int, Fraction] = {}
+                    pred[t].add(p)
+            for b, r in zip(bs, rhs):
+                r[p] = r[p] + coef * b
+    values: list[dict[int, Fraction]] = [{} for _ in rhs]
     for s in reversed(order):
-        row, b = solved[s]
-        values[s] = b + sum(c * values[t] for t, c in row.items())
+        row, bs = solved[s]
+        for b, x in zip(bs, values):
+            x[s] = b + sum(c * x[t] for t, c in row.items())
     return values

@@ -1,5 +1,5 @@
 """Shared test utilities: hand-built MDPs, independent exploration oracles,
-and small random model generators.
+small random model generators, and a whole-graph SCC enumeration.
 
 The exploration oracles here interpret the client/intruder semantics directly
 on plain tuples, sharing no code with the template engine they check.
@@ -7,6 +7,7 @@ on plain tuples, sharing no code with the template engine they check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -131,6 +132,52 @@ def is_forward(m: Mdp, absorbing: frozenset[int] = frozenset()) -> bool:
     fc, fe, tg = m.first_choice, m.first_edge, m.targets
     return all(tg[e] > s for s in range(m.state_count) if s not in absorbing
                for e in range(fe[fc[s]], fe[fc[s + 1]]))
+
+
+def sccs(m: Mdp, absorbing: frozenset[int] = frozenset()):
+    """Yield the strongly connected components of the transition graph, sinks first.
+
+    A component is yielded only after every component it can reach, so a consumer
+    may solve each one from those before it. States in ``absorbing`` have no
+    successors. The pass is Tarjan's, made iterative, over every state; the
+    solver runs its own from the states where its sweep stops.
+    """
+    n, fc, fe, tg = m.state_count, m.first_choice, m.first_edge, m.targets
+    index = [0] * n  # DFS number from 1; 0 marks an unvisited state
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    counter = itertools.count(1)
+
+    def visit(s):
+        index[s] = low[s] = next(counter)
+        stack.append(s)
+        on_stack[s] = 1
+        succ = () if s in absorbing else tg[fe[fc[s]]:fe[fc[s + 1]]]
+        return s, iter(succ)
+
+    for root in range(n):
+        if index[root]:
+            continue
+        work = [visit(root)]
+        while work:
+            s, succ = work[-1]
+            for t in succ:
+                if not index[t]:
+                    work.append(visit(t))
+                    break
+                if on_stack[t] and index[t] < low[s]:
+                    low[s] = index[t]
+            else:
+                work.pop()
+                if work and low[s] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[s]
+                if low[s] == index[s]:
+                    comp = []
+                    while not comp or comp[-1] != s:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = 0
+                    yield comp
 
 
 def expand_reference(module: TemplateModule):

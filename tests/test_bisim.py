@@ -13,11 +13,10 @@ from dispersal_mc.bisim import (NotBisimulationError, Partition, _verify, bisimi
                                 coarsest_bisimulation, quotient,
                                 verify_capacity_abstraction,
                                 verify_channel_cutoff, witness_contained)
-from dispersal_mc.mdp import sccs
 from dispersal_mc.models import HACKED, AbstractionPreconditionError, expand_channels
 from dispersal_mc.solver import solve_reach
 from helpers import (coarsest_by_bruteforce, make_mdp, random_mdp, refine_by_rounds,
-                     same_block)
+                     same_block, sccs)
 
 F = Fraction
 A3 = (F(1, 10), F(1, 5), F(3, 10))

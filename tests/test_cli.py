@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from dispersal_mc.configio import (ConfigError, channel_cutoff_from_dict, load_j
                                   load_model_params, load_sweep_spec,
                                   model_params_from_dict, sweep_spec_from_dict)
 from dispersal_mc.experiments import params_for
+from dispersal_mc.rationals import format_decimal, format_float
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +43,21 @@ def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+@pytest.mark.parametrize("q", ["0", "1", "1/2", "1/3", "2/3", "1/100000", "1/10000",
+                               "99999/1000000000", "123456789012345/1000000000000000",
+                               "9999999999994/10000000000000", "17/1000000000000000000"])
+def test_decimal_matches_format_float_off_ties(q):
+    # none of these is near a 12-digit tie, so the float rounds the same way
+    assert format_decimal(Fraction(q)) == format_float(float(Fraction(q)))
+
+
+def test_decimal_ties_round_half_even():
+    assert format_decimal(Fraction(1234567890125, 10 ** 13)) == "0.123456789012"
+    assert format_decimal(Fraction(1234567890135, 10 ** 13)) == "0.123456789014"
+    assert format_decimal(Fraction(9999999999995, 10 ** 13)) == "1"
+    assert format_decimal(Fraction(9999999999995, 10 ** 18)) == "1e-05"
 
 
 class TestConfigParsing:
@@ -302,6 +319,18 @@ class TestCli:
         code, out = run(["oracle", "--config", str(cfg), "--attacker", "slice"])
         assert code == 0
         assert "probability=3/4" in out
+
+    @pytest.mark.parametrize("a, exact, decimal", [
+        # both exact values are 12-digit ties and both floats lie above them:
+        # half-even rounds the first down, where its float rounds up
+        (["1/5", "1/4", "1/20"], "6004377/25600000000", "0.000234545976562"),
+        (["1/5", "3/10", "9/20"], "65997945963/4000000000000", "0.0164994864908"),
+    ])
+    def test_oracle_rounds_the_exact_value_once(self, tmp_path, a, exact, decimal):
+        doc = {"n": 12, "m": 3, "c": 4, "profile": "lt-linear", "k1": 7, "k2": 10, "a": a}
+        cfg = write_json(tmp_path, "tie.json", doc)
+        code, out = run(["oracle", "--config", str(cfg), "--attacker", "slice"])
+        assert (code, out) == (0, f"probability={exact}\ndecimal={decimal}\n")
 
     def test_export_roundtrip(self, tmp_path):
         cfg = write_json(tmp_path, "anchor.json", SLICE_ANCHOR)

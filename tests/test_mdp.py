@@ -17,12 +17,11 @@ from dispersal_mc import (Branch, CompositionError, Distribution, ExplorationErr
 from dispersal_mc import mdp as mdp_module
 from dispersal_mc.bisim import bisimilar, verify_capacity_abstraction
 from dispersal_mc.configio import load_model_params
-from dispersal_mc.mdp import sccs
 from dispersal_mc.models import (HACKED, ModelParams, build_client, build_composed,
                                  build_intruder, lt_linear_profile, uniform_probabilities)
 from dispersal_mc.solver import exact_reach, solve_reach
 from acceptance_grid import build_grid
-from helpers import expand_reference, is_forward, make_mdp, random_mdp, validate
+from helpers import expand_reference, is_forward, make_mdp, random_mdp, sccs, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

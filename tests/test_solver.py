@@ -12,10 +12,9 @@ from dispersal_mc import ModelParams, build_composed, uniform_probabilities
 from acceptance_grid import build_grid
 from dispersal_mc import solver
 from dispersal_mc.configio import load_model_params
-from dispersal_mc.mdp import sccs
-from dispersal_mc.models import HACKED
+from dispersal_mc.models import HACKED, make_params
 from dispersal_mc.solver import QueryError, exact_reach, solve_reach
-from helpers import is_forward, make_mdp, random_mdp, random_params, value_iteration
+from helpers import is_forward, make_mdp, random_mdp, random_params, sccs, value_iteration
 
 F = Fraction
 
@@ -24,6 +23,26 @@ def slice_anchor_model():
     params = ModelParams(n=2, m=1, c=2, k1=1, k2=1, a=(F(1, 2),),
                          x=(F(1), F(1)), p=(F(1),))
     return build_composed(params, "slice")
+
+
+@pytest.fixture
+def roots(monkeypatch):
+    """The states the sweep hands to the component pass, in call order."""
+    calls = []
+    components = solver._components
+    monkeypatch.setattr(solver, "_components",
+                        lambda root, *args: calls.append(root) or components(root, *args))
+    return calls
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The number of right-hand sides of each linear solve, in call order."""
+    calls = []
+    solve_linear = solver._solve_linear
+    monkeypatch.setattr(solver, "_solve_linear", lambda order, rows, rhs:
+                        calls.append(len(rhs)) or solve_linear(order, rows, rhs))
+    return calls
 
 
 class TestValueIteration:
@@ -170,26 +189,39 @@ class TestEndComponents:
         assert (res.pmin, res.pmax) == (0.0, 1.0)
         assert self.solved(m) == (0, 1)
 
-    def test_one_action_loop_is_evaluated_once(self, monkeypatch):
+    def test_one_action_loop_is_evaluated_once(self, eliminations):
         # 0 and 1 form a retry loop with one action each: a Markov chain, so
-        # min and max share one evaluation, while iterations count both
-        calls = []
-        evaluate = solver._evaluate
-        monkeypatch.setattr(solver, "_evaluate",
-                            lambda chosen: calls.append(1) or evaluate(chosen))
+        # min and max share one elimination, while iterations count both
+        calls = eliminations
         m = make_mdp({0: {"pick": {1: F(1, 2), 3: F(1, 2)}},
                       1: {"retry": {0: F(1, 3), 2: F(2, 3)}}, 2: {}, 3: {}},
                      labels={2: ("goal",)})
         res = solve_reach(m, "goal")
-        assert (len(calls), res.iterations) == (1, 2)
+        assert (calls, res.iterations) == ([1], 2)
         assert res.pmin == res.pmax == pytest.approx(0.4)
         assert self.solved(m) == (F(2, 5), F(2, 5))
-        # no state of this loop reaches the goal: min counts no evaluation
+        # no state of this loop reaches the goal: no elimination, and min
+        # counts no evaluation
         calls.clear()
         dead = make_mdp({0: {"pick": {1: F(1, 2), 3: F(1, 2)}}, 1: {"retry": {0: 1}},
                          2: {}, 3: {}}, labels={2: ("goal",)})
         res = solve_reach(dead, "goal")
-        assert (len(calls), res.iterations, res.pmin, res.pmax) == (1, 1, 0.0, 0.0)
+        assert (calls, res.iterations, res.pmin, res.pmax) == ([], 1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("exit_choices, rhs, iterations, values", [
+        # the loop's exit state 4 is worth 0 for min and 1 for max
+        ({"hit": {2: 1}, "miss": {3: 1}}, [1], 1, (0, F(2, 5))),
+        # it is worth 1/2 for min and 1 for max: one elimination, two sides
+        ({"hit": {2: 1}, "half": {2: F(1, 2), 3: F(1, 2)}}, [2], 2, (F(1, 5), F(2, 5))),
+    ])
+    def test_one_action_loop_with_exits_that_differ(self, eliminations, exit_choices, rhs,
+                                                     iterations, values):
+        m = make_mdp({0: {"pick": {1: F(1, 2), 3: F(1, 2)}},
+                      1: {"retry": {0: F(1, 3), 4: F(2, 3)}}, 2: {}, 3: {}, 4: exit_choices},
+                     labels={2: ("goal",)})
+        res = solve_reach(m, "goal")
+        assert (eliminations, res.iterations) == (rhs, iterations)
+        assert self.solved(m) == values
 
 
 @pytest.mark.parametrize("attacker, pmin, pmax, iterations", [
@@ -200,6 +232,23 @@ def test_capacity_bound_floats_and_iterations_are_pinned(attacker, pmin, pmax, i
     config = Path(__file__).resolve().parent.parent / "configs" / "capacity_bound.json"
     res = solve_reach(build_composed(load_model_params(config), attacker), HACKED)
     assert (res.pmin.hex(), res.pmax.hex(), res.iterations) == (pmin, pmax, iterations)
+
+
+@pytest.mark.parametrize("attacker, n, c, k1, k2, states, pmin, pmax, iterations", [
+    ("slice", 24, 8, 14, 19, 44448, "0x1.660e4bf3e4abap-18", "0x1.660e4bf3e4abap-18", 7215),
+    ("provider", 24, 8, 14, 19, 23362, "0x1.a9fbe76c8b42ep-5", "0x1.a9fbe76c8b42fp-5", 2592),
+    ("slice", 12, 4, 7, 10, 4310, "0x1.ea24666d55258p-11", "0x1.ea24666d55258p-11", 1099),
+    ("provider", 14, 5, 8, 11, 6926, "0x1.e8ca11bfd44e8p-5", "0x1.e8ca11bfd44e8p-5", 1044),
+    ("slice", 6, 2, 4, 5, 492, "0x1.fc8f32378ab07p-8", "0x1.fc8f32378ab07p-8", 153),
+], ids=["slice-n24", "provider-n24", "slice-n12", "provider-n14", "slice-n6"])
+def test_cyclic_models_floats_and_iterations_are_pinned(attacker, n, c, k1, k2, states,
+                                                        pmin, pmax, iterations):
+    # the capacity-bound models of the check-cyclic benchmark workload (seed 0)
+    params = make_params("lt-linear", n, 3, (F(1, 10), F(1, 5), F(3, 10)), c=c, k1=k1, k2=k2)
+    m = build_composed(params, attacker)
+    res = solve_reach(m, HACKED)
+    assert (m.state_count, res.pmin.hex(), res.pmax.hex(), res.iterations) == \
+        (states, pmin, pmax, iterations)
 
 
 def random_forward_rows(rng: random.Random, max_states=10):
@@ -278,18 +327,17 @@ class TestForwardOrder:
                                 assert all(t in done or t in comp for t, _ in pairs)
                     done.update(comp)
 
-    def test_a_back_edge_in_any_choice_needs_tarjan(self, monkeypatch):
+    def test_a_back_edge_in_any_choice_needs_tarjan(self, roots):
         # state 1's second choice leads back to 0; the goal's own edge back
         # to 0 does not count, since targets are absorbing
-        calls = []
-        monkeypatch.setattr(solver, "sccs", lambda *args: calls.append(args) or sccs(*args))
+        calls = roots
         rows = {0: {"a": {1: 1}}, 1: {"a": {2: 1}, "b": {0: F(1, 2), 3: F(1, 2)}},
                 2: {"a": {0: 1}}, 3: {}}
         m = make_mdp(rows, labels={2: ("g",)})
         assert not is_forward(m, frozenset({2}))
         assert [sorted(c) for c in sccs(m, frozenset({2}))] == [[2], [3], [0, 1]]
         res = solve_reach(m, "g")
-        assert len(calls) == 1
+        assert calls == [1]
         assert (res.pmin, res.pmax) == (0, 1)
         assert (res.pmin, res.pmax) == (value_iteration(m, "g", "min"),
                                         value_iteration(m, "g", "max"))
@@ -301,11 +349,10 @@ class TestForwardOrder:
         assert solve_reach(m, "g").pmin == exact_reach(m, "g", "min") == 1
         assert calls == []
 
-    def test_a_late_back_edge_falls_back_to_tarjan(self, monkeypatch):
+    def test_a_late_back_edge_falls_back_to_tarjan(self, roots):
         # a back edge or self-loop out of state 0 or 1: the sweep backs up
         # every later state before it meets the edge and hands over
-        calls = []
-        monkeypatch.setattr(solver, "sccs", lambda *args: calls.append(args) or sccs(*args))
+        calls = roots
         rng = random.Random(53)
         cyclic = 0
         for _ in range(300):
@@ -319,7 +366,7 @@ class TestForwardOrder:
             m = make_mdp(transitions, labels=labels, num_states=n, ap=("g",))
             calls.clear()
             res = solve_reach(m, "g")
-            assert len(calls) == 1
+            assert calls == [s]
             cyclic += res.iterations > 0
             for direction, value in (("min", res.pmin), ("max", res.pmax)):
                 exact = exact_reach(m, "g", direction)
@@ -329,13 +376,41 @@ class TestForwardOrder:
                 assert abs(float(exact) - reference) <= 1e-9
         assert cyclic >= 200
 
+    def test_the_sweep_resumes_below_each_component_pass(self, roots):
+        # back edges out of several states at random depths: the sweep stops
+        # at each one that no earlier pass has solved, hands it over, and
+        # goes on below it, in decreasing order
+        calls = roots
+        rng = random.Random(59)
+        resumed = 0
+        for _ in range(300):
+            transitions, labels, n = random_forward_rows(rng, max_states=16)
+            free = [s for s in range(n) if s not in labels]
+            starts = set(rng.sample(free, min(len(free), rng.randint(2, 4))))
+            for s in starts:
+                back = rng.randint(0, s)
+                other = rng.choice([t for t in range(n) if t != back])
+                transitions[s] = {**transitions[s], "z": {back: F(1, 3), other: F(2, 3)}}
+            m = make_mdp(transitions, labels=labels, num_states=n, ap=("g",))
+            calls.clear()
+            res = solve_reach(m, "g")
+            assert calls and set(calls) <= starts and calls == sorted(calls, reverse=True)
+            resumed += len(calls) > 1
+            for direction, value in (("min", res.pmin), ("max", res.pmax)):
+                exact = exact_reach(m, "g", direction)
+                reference = value_iteration(m, "g", direction)
+                assert abs(value - float(exact)) <= 1e-12
+                assert abs(value - reference) <= 1e-9
+                assert abs(float(exact) - reference) <= 1e-9
+        assert resumed >= 100
+
     def test_grid_models_with_spare_capacity_are_forward(self, monkeypatch):
         # Every c >= n model is acyclic, and breadth-first expansion numbers
         # it so that the solver's sweep alone solves it, with no SCC pass.
         def refuse(*args):
-            raise AssertionError("the SCC pass ran on a forward model")
+            raise AssertionError("the component pass ran on a forward model")
 
-        monkeypatch.setattr(solver, "sccs", refuse)
+        monkeypatch.setattr(solver, "_components", refuse)
         count = exact = 0
         for _, params, attacker in build_grid():
             if params.c >= params.n:
