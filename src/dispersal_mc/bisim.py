@@ -2,10 +2,11 @@
 decisions, and machine checks of the two model-shrinking abstractions
 (channel grouping and capacity-counter elimination) on concrete instances.
 
-Coarsest partitions come from worklist refinement (Valmari & Franceschinis,
-TACAS 2010), which re-signs only predecessors of states that changed block;
-blocks are numbered by smallest member. Signatures hold exact rational
-masses; floating arithmetic never enters a bisimulation decision.
+Coarsest partitions come from one reverse-index pass on unions whose edges
+all go to later states (Dovier, Piazza & Policriti, TCS 2004), and else from
+worklist refinement (Valmari & Franceschinis, TACAS 2010); blocks are
+numbered by smallest member. Signatures hold exact rational masses; floating
+arithmetic never enters a bisimulation decision.
 """
 
 from __future__ import annotations
@@ -65,29 +66,40 @@ def _signature(layout: tuple, s: int, block_of, offset=0):
 def _refine(models: Sequence[Mdp]) -> Partition:
     """Coarsest bisimulation of the disjoint union of ``models``.
 
-    Worklist refinement from the label partition. Every block keeps the
-    signature its members share. A round re-signs only the predecessors of
-    states that moved to a fresh block id, as no other signature can have
-    changed, and splits their blocks: the untouched members (if none, the
-    largest group) keep the old id, each other group gets a fresh one. It
-    stops when no state moves. Blocks are numbered by smallest member.
+    One pass in reverse index order, as the solver's sweep, gives each state
+    the block of its (label, signature) pair, from one dict for the union,
+    while its successors' blocks are final. Block -1 marks the states not yet
+    passed, so a new pair that names it (an edge to the same or an earlier
+    state) ends the pass, and worklist refinement starts from the label
+    partition. Every block keeps the signature its members share. A round
+    re-signs only the predecessors of states that moved to a fresh block id,
+    as no other signature can have changed, and splits their blocks: the
+    untouched members (if none, the largest group) keep the old id, each other
+    group gets a fresh one. It stops when no state moves. Blocks are numbered
+    by smallest member.
     """
     home, labels = [], []  # per state of the union: (its model's layout, offset)
-    preds: list[list[int]] = []
     for m in models:
-        off = len(labels)
-        home += [(_layout(m), off)] * m.state_count
+        home += [(_layout(m), len(labels))] * m.state_count
         labels += m.labels
-        preds += [[] for _ in range(m.state_count)]
-        fc, fe, tg = m.first_choice, m.first_edge, m.targets
-        for s in range(m.state_count):
-            for t in tg[fe[fc[s]]:fe[fc[s + 1]]]:
-                preds[t + off].append(s + off)
-    label_id: dict = {}
-    block_of = [label_id.setdefault(lab, len(label_id)) for lab in labels]
-    size = [block_of.count(b) for b in range(len(label_id))]
-    block_sig: list = [None] * len(size)
-    dirty = range(len(labels))
+    block_of, key_id, dirty = [-1] * len(labels), {}, ()
+    for u in reversed(range(len(labels))):
+        layout, off = home[u]
+        sig = _signature(layout, u - off, block_of, off)
+        b = block_of[u] = key_id.setdefault((labels[u], sig), len(key_id))
+        if b == len(key_id) - 1 and any(masses[0][0] < 0 for _, masses in sig):
+            dirty = range(len(labels))
+            break
+    if dirty:
+        preds: list[list[int]] = [[] for _ in labels]
+        for u, (layout, off) in enumerate(home):
+            fc, _, fe, tg = layout[:4]
+            for t in tg[fe[fc[u - off]]:fe[fc[u - off + 1]]]:
+                preds[t + off].append(u)
+        label_id: dict = {}
+        block_of = [label_id.setdefault(lab, len(label_id)) for lab in labels]
+        size = [block_of.count(b) for b in range(len(label_id))]
+        block_sig: list = [None] * len(size)
     while dirty:
         touched: dict[int, dict] = {}
         for s in dirty:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .models import (ModelParams, ParameterError, build_composed, check_thresholds,
                      check_vectors, make_params, round_half_up)
-from .rationals import format_float
+from .rationals import format_decimal, format_float
 from .solver import exact_reach, solve_reach
 
 CSV_HEADER = "n,pmin,pmax,states,transitions,wall_ms,iterations"
@@ -93,8 +93,8 @@ class SweepRow:
     """One solved sweep point."""
 
     n: int
-    pmin: float
-    pmax: float
+    pmin: float | Fraction  # exact with ``"solver": "exact"``
+    pmax: float | Fraction
     states: int
     transitions: int
     wall_ms: float
@@ -133,9 +133,8 @@ def _solve_point(spec: SweepSpec, n: int) -> SweepRow:
             model = build_composed(params, spec.attacker,
                                    reduced=params.c >= params.n)
             if spec.solver == "exact":
-                pmin = exact_reach(model, "hacked", "min")
-                pmax = exact_reach(model, "hacked", "max")
-                row = SweepRow(n, float(pmin), float(pmax),
+                row = SweepRow(n, exact_reach(model, "hacked", "min"),
+                               exact_reach(model, "hacked", "max"),
                                model.state_count, model.transition_count, 0.0, 0)
             else:
                 res = solve_reach(model, "hacked")
@@ -160,7 +159,8 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def emit_csv(rows: Iterable[SweepRow], path) -> None:
-    """Write sweep rows as CSV with 12-significant-digit probabilities.
+    """Write sweep rows as CSV with 12-significant-digit probabilities; an
+    exact ``Fraction`` is rounded once, half to even.
 
     Output bytes are a pure function of the rows (LF endings); error rows
     leave the probability columns empty.
@@ -170,7 +170,8 @@ def emit_csv(rows: Iterable[SweepRow], path) -> None:
         if row.error is not None:
             pmin = pmax = ""
         else:
-            pmin, pmax = format_float(row.pmin), format_float(row.pmax)
+            pmin, pmax = (format_decimal(q) if isinstance(q, Fraction) else format_float(q)
+                          for q in (row.pmin, row.pmax))
         lines.append(f"{row.n},{pmin},{pmax},{row.states},{row.transitions},"
                      f"{format_float(row.wall_ms)},{row.iterations}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -298,6 +298,24 @@ def random_mdp(rng: random.Random, max_states=5, actions=("a", "b"), props=("g",
     return make_mdp(transitions, labels=labels, num_states=n, ap=props)
 
 
+def random_forward_mdp(rng: random.Random, max_states=8, actions=("a", "b"), props=("g",)):
+    """A small random MDP in which every edge goes to a later state, so the
+    states without actions are its sinks. Masses come from a few small
+    denominators, so that distinct states often share a block."""
+    n = rng.randint(1, max_states)
+    transitions = {}
+    for s in range(n - 1):
+        row = {}
+        for action in actions:
+            if rng.random() < 0.6:
+                succ = rng.sample(range(s + 1, n), min(n - 1 - s, rng.randint(1, 3)))
+                parts = [rng.randint(1, 2) for _ in succ]
+                row[action] = {t: Fraction(k, sum(parts)) for t, k in zip(succ, parts)}
+        transitions[s] = row
+    labels = {s: tuple(p for p in props if rng.random() < 0.3) for s in range(n)}
+    return make_mdp(transitions, labels=labels, num_states=n, ap=props)
+
+
 def random_params(rng: random.Random, max_n=6, max_m=3) -> ModelParams:
     """A random valid parameter vector with small exact probabilities."""
     n = rng.randint(1, max_n)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dispersal_mc import bisim
 from dispersal_mc import (Channel, Distribution, ModelParams,
                           build_composed, lt_linear_profile,
                           uniform_probabilities)
@@ -15,8 +16,8 @@ from dispersal_mc.bisim import (NotBisimulationError, Partition, _verify, bisimi
                                 verify_channel_cutoff, witness_contained)
 from dispersal_mc.models import HACKED, AbstractionPreconditionError, expand_channels
 from dispersal_mc.solver import solve_reach
-from helpers import (coarsest_by_bruteforce, make_mdp, random_mdp, refine_by_rounds,
-                     same_block, sccs)
+from helpers import (coarsest_by_bruteforce, is_forward, make_mdp, random_forward_mdp,
+                     random_mdp, refine_by_rounds, same_block, sccs)
 
 F = Fraction
 A3 = (F(1, 10), F(1, 5), F(3, 10))
@@ -26,6 +27,16 @@ def first_seen(block_of):
     """Block ids renumbered by first appearance, i.e. by smallest member."""
     ids: dict = {}
     return tuple(ids.setdefault(b, len(ids)) for b in block_of)
+
+
+@pytest.fixture
+def signatures(monkeypatch):
+    """The union states ``bisim._signature`` signs, in call order."""
+    calls = []
+    signature = bisim._signature
+    monkeypatch.setattr(bisim, "_signature", lambda layout, s, block_of, offset=0:
+                        calls.append(s + offset) or signature(layout, s, block_of, offset))
+    return calls
 
 
 class TestCoarsestBisimulation:
@@ -66,7 +77,7 @@ class TestCoarsestBisimulation:
                 for t in range(len(m.states)):
                     assert same_block(part, s, t) == (brute_id[s] == brute_id[t])
 
-    def test_acyclic_state_and_self_loop_share_a_block(self):
+    def test_acyclic_state_and_self_loop_share_a_block(self, signatures):
         # state 0 reaches g in one step, state 1 may loop first: numbering
         # blocks by SCC rank would split them
         m = make_mdp({0: {"a": {1: F(1, 2), 2: F(1, 2)}},
@@ -74,6 +85,8 @@ class TestCoarsestBisimulation:
                       2: {}},
                      labels={2: ("g",)})
         assert coarsest_bisimulation(m).block_of == (0, 0, 1)
+        # the pass signs 2, then ends at 1's self-loop; one worklist round follows
+        assert signatures == [2, 1, 0, 1, 2]
 
     def test_matches_round_reference_on_random_models(self):
         rng = random.Random(43)
@@ -85,6 +98,34 @@ class TestCoarsestBisimulation:
             assert part.block_of == first_seen(refine_by_rounds(m))
             big_cycles += any(len(c) > 3 for c in sccs(m))
         assert big_cycles >= 50
+
+    def test_forward_pass_matches_round_reference(self, signatures):
+        rng = random.Random(59)
+        paths = {True: 0, False: 0}
+        for i in range(420):
+            props = ("g", "h") if i % 2 else ("g",)
+            models = [random_forward_mdp(rng, max_states=(4, 8, 12)[i % 3], props=props)]
+            if i >= 300:
+                models.append(random_mdp(rng, max_states=6, props=props))
+            elif i >= 150:
+                models.append(models[0] if i % 5 == 0 else random_forward_mdp(rng, props=props))
+            if i % 4 == 3:
+                models.reverse()
+            signatures.clear()
+            ref = refine_by_rounds(*models)
+            if len(models) == 1:
+                part = coarsest_bisimulation(*models)
+            else:
+                res = bisimilar(*models)
+                part = res.partition
+                assert res.equivalent == (ref[0] == ref[models[0].state_count])
+            assert part.block_of == first_seen(ref)
+            forward = all(map(is_forward, models))
+            assert forward or i >= 300
+            # the pass signs each state once; the worklist signs every state again
+            assert (sorted(signatures) == list(range(len(ref)))) == forward
+            paths[forward] += 1
+        assert paths[True] >= 300 and paths[False] >= 50
 
     def test_idempotent(self):
         rng = random.Random(37)
@@ -271,15 +312,15 @@ class TestCapacityAbstraction:
 class TestRoundReference:
     """The verify-bisim benchmark unions against the round-based reference."""
 
-    def test_capacity_union(self):
+    def test_capacity_union(self, signatures):
         params = ModelParams(n=14, m=3, c=14, k1=8, k2=11, a=A3,
                              x=lt_linear_profile(8, 11, 14),
                              p=uniform_probabilities(3))
         full = build_composed(params, "provider", reduced=False)
         reduced = build_composed(params, "provider", reduced=True)
-        self._check(full, reduced, 377)
+        self._check(full, reduced, 377, signatures)
 
-    def test_channel_union(self):
+    def test_channel_union(self, signatures):
         f = Distribution.uniform(2)
         big = [Channel(2, Distribution.uniform(2), F(1, 10)),
                Channel(3, Distribution.uniform(3), F(1, 5))]
@@ -288,15 +329,17 @@ class TestRoundReference:
         models = [build_composed(ModelParams(n=6, m=len(p), c=6, k1=3, k2=4,
                                              a=a, x=x, p=p), "slice")
                   for p, a in (expand_channels(f, small), expand_channels(f, big))]
-        self._check(*models, 65)
+        self._check(*models, 65, signatures)
 
     @staticmethod
-    def _check(m1, m2, blocks):
+    def _check(m1, m2, blocks, signatures):
         res = bisimilar(m1, m2)
         ref = refine_by_rounds(m1, m2)
         assert res.equivalent
         assert res.partition.block_of == first_seen(ref)
         assert res.blocks == len(set(ref)) == blocks
+        # both models are forward, so the pass signs each state once
+        assert sorted(signatures) == list(range(m1.state_count + m2.state_count))
 
 
 class TestWitnessContainment:

@@ -226,6 +226,20 @@ class TestCsv:
         row = path.read_text().splitlines()[1]
         assert row.split(",")[1] == "0.333333333333"
 
+    def test_exact_sweep_rounds_the_exact_value_once(self, tmp_path):
+        # 6004377/25600000000 is a 12-digit tie and its float lies above it:
+        # half-even rounds it down, where rounding the float gives ...563
+        spec = SweepSpec(attacker="slice", profile="lt-linear", n_from=12, n_to=12, m=3,
+                         a=(F(1, 5), F(1, 4), F(1, 20)), c=4, solver="exact")
+        params = params_for(spec, 12)
+        assert (params.k1, params.k2) == (7, 10)
+        rows = sweep(spec)
+        assert rows[0].pmin == F(6004377, 25600000000) == rows[0].pmax
+        path = tmp_path / "exact.csv"
+        emit_csv(rows, path)
+        assert path.read_text().splitlines()[1] == \
+            "12,0.000234545976562,0.000234545976562,4310,8822,0,0"
+
 
 class TestOracleSolverAgreement:
     def test_random_grid(self):
