@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a refusal or precondition failure, 2 on usage
-or configuration errors.
+or configuration errors, an output path that cannot be written included.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .models import AbstractionPreconditionError, Channel, ParameterError, build
 from .mdp import Distribution, ModelError
 from .prism import export_prism
 from .rationals import format_decimal, format_float, format_rational
-from .solver import QueryError, SolverError, exact_reach, solve_reach
+from .solver import QueryError, SolverError, solve_reach
 
 
 def _emit(payload: dict, fmt: str, stream) -> None:
@@ -33,15 +33,10 @@ def _emit(payload: dict, fmt: str, stream) -> None:
 def _cmd_check(args, out) -> int:
     params = load_model_params(args.config)
     model = build_composed(params, args.attacker, reduced=args.reduced)
-    if args.exact:
-        pmin = exact_reach(model, "hacked", "min")
-        pmax = exact_reach(model, "hacked", "max")
-        payload = {"pmin": format_rational(pmin), "pmax": format_rational(pmax)}
-    else:
-        res = solve_reach(model, "hacked")
-        payload = {"pmin": format_float(res.pmin), "pmax": format_float(res.pmax)}
-    payload["states"] = model.state_count
-    payload["transitions"] = model.transition_count
+    res = solve_reach(model, "hacked", exact=args.exact)
+    fmt = format_rational if args.exact else format_float
+    payload = {"pmin": fmt(res.pmin), "pmax": fmt(res.pmax),
+               "states": model.state_count, "transitions": model.transition_count}
     _emit(payload, args.format, out)
     return 0
 
@@ -199,7 +194,7 @@ def main(argv=None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, out)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (AbstractionPreconditionError, ParameterError, ModelError, QueryError,

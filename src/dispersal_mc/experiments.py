@@ -20,7 +20,7 @@ from typing import Iterable
 from .models import (ModelParams, ParameterError, build_composed, check_thresholds,
                      check_vectors, make_params, round_half_up)
 from .rationals import format_decimal, format_float
-from .solver import exact_reach, solve_reach
+from .solver import solve_reach
 
 CSV_HEADER = "n,pmin,pmax,states,transitions,wall_ms,iterations"
 
@@ -132,15 +132,10 @@ def _solve_point(spec: SweepSpec, n: int) -> SweepRow:
         else:
             model = build_composed(params, spec.attacker,
                                    reduced=params.c >= params.n)
-            if spec.solver == "exact":
-                row = SweepRow(n, exact_reach(model, "hacked", "min"),
-                               exact_reach(model, "hacked", "max"),
-                               model.state_count, model.transition_count, 0.0, 0)
-            else:
-                res = solve_reach(model, "hacked")
-                row = SweepRow(n, res.pmin, res.pmax,
-                               model.state_count, model.transition_count,
-                               0.0, res.iterations)
+            res = solve_reach(model, "hacked", exact=spec.solver == "exact")
+            row = SweepRow(n, res.pmin, res.pmax,
+                           model.state_count, model.transition_count,
+                           0.0, res.iterations)
     except Exception as exc:  # per-point failures must not kill the sweep
         return SweepRow(n, float("nan"), float("nan"), 0, 0, 0.0, 0,
                         error=f"{type(exc).__name__}: {exc}")

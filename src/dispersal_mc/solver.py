@@ -1,7 +1,8 @@
 """Min/max reachability probabilities for explicit MDPs.
 
-One engine serves floats (``solve_reach``) and exact ``Fraction``s
-(``exact_reach``). It solves the strongly connected components sinks first
+One engine serves floats and exact ``Fraction``s: ``solve_reach`` answers
+min and max in one pass in either arithmetic, and ``exact_reach`` one
+direction exactly. It solves the strongly connected components sinks first
 (topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no value
 depends on a stopping rule; floats differ from exact values by rounding only.
 One sweep backs the states up in reverse index order, which solves every
@@ -32,20 +33,22 @@ class SolverError(RuntimeError):
 class ReachResult:
     """Solved reachability query: both directions plus the solver's effort.
 
+    ``pmin`` and ``pmax`` are floats, or ``Fraction``s when solved exactly.
     ``iterations`` counts the policy evaluations (local linear solves) spent
     on cyclic components, over both directions; an acyclic model needs none.
     """
 
-    pmin: float
-    pmax: float
+    pmin: float | Fraction
+    pmax: float | Fraction
     iterations: int
 
 
-def solve_reach(m: Mdp, target: str) -> ReachResult:
-    """Min and max probability, over all schedulers, of eventually hitting the target."""
-    (vmin, vmax), rounds = _reach_values(m, target, (min, max), exact=False)
-    return ReachResult(pmin=float(_at_initial(m, vmin)),
-                       pmax=float(_at_initial(m, vmax)), iterations=rounds)
+def solve_reach(m: Mdp, target: str, *, exact: bool = False) -> ReachResult:
+    """Min and max probability, over all schedulers, of eventually hitting the
+    target, in floats or, with ``exact``, in ``Fraction``s."""
+    values, rounds = _reach_values(m, target, (min, max), exact=exact)
+    pmin, pmax = ((Fraction if exact else float)(_at_initial(m, v)) for v in values)
+    return ReachResult(pmin=pmin, pmax=pmax, iterations=rounds)
 
 
 def exact_reach(m: Mdp, target: str, direction: str) -> Fraction:

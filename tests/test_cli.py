@@ -13,7 +13,9 @@ from dispersal_mc.configio import (ConfigError, channel_cutoff_from_dict, load_j
                                   load_model_params, load_sweep_spec,
                                   model_params_from_dict, sweep_spec_from_dict)
 from dispersal_mc.experiments import params_for
-from dispersal_mc.rationals import format_decimal, format_float
+from dispersal_mc.models import HACKED, build_composed
+from dispersal_mc.rationals import format_decimal, format_float, format_rational
+from dispersal_mc.solver import exact_reach, solve_reach
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,6 +158,20 @@ class TestCli:
         payload = json.loads(out)
         assert payload["pmin"] == "3/4" and payload["pmax"] == "3/4"
 
+    @pytest.mark.parametrize("attacker", ["slice", "provider"])
+    def test_check_exact_on_a_cyclic_model(self, attacker):
+        # c < n: retry loops make the model cyclic, and one pass solves both
+        # directions; each must print as the one-direction engine's value
+        cfg = ROOT / "configs" / "capacity_bound.json"
+        code, out = run(["check", "--config", str(cfg), "--attacker", attacker,
+                         "--exact", "--format", "json"])
+        model = build_composed(load_model_params(cfg), attacker)
+        assert solve_reach(model, HACKED).iterations > 0
+        payload = json.loads(out)
+        assert (code, payload["pmin"], payload["pmax"]) == \
+            (0, format_rational(exact_reach(model, HACKED, "min")),
+             format_rational(exact_reach(model, HACKED, "max")))
+
     def test_unknown_subcommand_usage_error(self):
         code, _ = run(["frobnicate"])
         assert code == 2
@@ -267,6 +283,18 @@ class TestCli:
         assert "n=1: ParameterError: " in capsys.readouterr().err
         rows = out_csv.read_text().splitlines()[1:]
         assert rows[0].startswith("1,,,") and rows[1].startswith("11,0.")
+
+    @pytest.mark.parametrize("command", ["sweep", "export"])
+    def test_unwritable_out_path_exit_two(self, tmp_path, capsys, command):
+        out_path = tmp_path / "missing" / "out"
+        argv = (["sweep", "--spec", str(write_json(tmp_path, "s.json", SWEEP))]
+                if command == "sweep" else
+                ["export", "--config", str(write_json(tmp_path, "m.json", SLICE_ANCHOR)),
+                 "--attacker", "slice"])
+        code, out = run(argv + ["--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(out_path) in err and "Traceback" not in err
 
     def test_shipped_and_benchmark_inputs_load(self):
         # every file under configs/ and every input the benchmark writes goes
