@@ -239,7 +239,7 @@ class TestCsv:
         emit_csv(rows, path)
         assert path.read_text().splitlines()[1] == \
             "12,0.000234545976562,0.000234545976562,4310,8822,0,1023"
-        # the exact pass counts its own policy evaluations (1,099 in floats)
+        # the exact pass counts its own policy evaluations (1,100 in floats)
         model = build_composed(params, "slice")
         assert rows[0].iterations == solve_reach(model, HACKED, exact=True).iterations
 
