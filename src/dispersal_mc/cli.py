@@ -45,6 +45,7 @@ def _cmd_sweep(args, out) -> int:
     spec = load_sweep_spec(args.spec)
     if args.timing:
         spec = dataclasses.replace(spec, timing=True)
+    open(args.out, "a").close()  # an unwritable path fails before the sweep runs
     rows = sweep(spec)
     emit_csv(rows, args.out)
     failures = [r for r in rows if r.error]

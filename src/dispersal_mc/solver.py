@@ -1,11 +1,11 @@
 """Min/max reachability probabilities for explicit MDPs.
 
-One engine serves floats and exact ``Fraction``s: ``solve_reach`` answers
-min and max in one pass in either arithmetic, and ``exact_reach`` one
-direction exactly. It solves the strongly connected components sinks first
-(topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no value
-depends on a stopping rule; floats differ from exact values by rounding only.
-One sweep backs the states up in reverse index order, which solves every
+One engine serves floats and exact ``Fraction``s: ``solve_reach`` answers min
+and max in one pass in either arithmetic, and ``exact_reach`` reads one
+direction of the exact pair. It solves the strongly connected components sinks
+first (topological value iteration: Dai, Mausam & Weld, JAIR 42, 2011), so no
+value depends on a stopping rule; floats differ from exact values by rounding
+only. One sweep backs the states up in reverse index order, which solves every
 ``c >= n`` model; where it meets an edge back, a Tarjan DFS from there solves
 the components it reaches, and the sweep goes on. One backup serves both
 directions where the successors agree, and one elimination a one-action cycle.
@@ -46,30 +46,27 @@ class ReachResult:
 def solve_reach(m: Mdp, target: str, *, exact: bool = False) -> ReachResult:
     """Min and max probability, over all schedulers, of eventually hitting the
     target, in floats or, with ``exact``, in ``Fraction``s."""
-    values, rounds = _reach_values(m, target, (min, max), exact=exact)
-    pmin, pmax = ((Fraction if exact else float)(_at_initial(m, v)) for v in values)
+    values, rounds = _reach_values(m, target, exact=exact)
+    pmin, pmax = ((Fraction if exact else float)(
+        sum((w * v[s] for s, w in m.initial.items()), Fraction(0))) for v in values)
     return ReachResult(pmin=pmin, pmax=pmax, iterations=rounds)
 
 
 def exact_reach(m: Mdp, target: str, direction: str) -> Fraction:
-    """Exact rational min or max probability of eventually hitting the target."""
+    """Exact rational min or max probability of eventually hitting the target:
+    one direction of ``solve_reach(m, target, exact=True)``."""
     if direction not in ("min", "max"):
         raise QueryError(f"direction must be 'min' or 'max', got {direction!r}")
-    (values,), _ = _reach_values(m, target, (max if direction == "max" else min,),
-                                 exact=True)
-    return _at_initial(m, values)
+    res = solve_reach(m, target, exact=True)
+    return res.pmax if direction == "max" else res.pmin
 
 
 # --- topological engine ------------------------------------------------------
 
 
-def _at_initial(m: Mdp, values):
-    return sum((w * values[s] for s, w in m.initial.items()), Fraction(0))
-
-
-def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
-    """Every state's value, one list per direction (``min`` or ``max`` in
-    ``bests``), and the policy evaluations spent.
+def _reach_values(m: Mdp, target: str, *, exact: bool):
+    """Every state's value, as the pair of lists ``(lo, hi)`` for min and max,
+    and the policy evaluations spent.
 
     Targets are absorbing. The sweep backs the states up in reverse index
     order while every edge out of a non-target goes to a later state (targets
@@ -84,14 +81,13 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
     one = Fraction(1) if exact else 1.0
     table = m.weights if exact else [float(w) for w in m.weights]
     fc, fe, tg, wi = m.first_choice, m.first_edge, m.targets, m.weight_ids
-    values = [[0] * m.state_count for _ in bests]
-    lo, hi = values[0], values[-1]
+    lo, hi = values = [0] * m.state_count, [0] * m.state_count
     weight, low_at, high_at = table.__getitem__, lo.__getitem__, hi.__getitem__
 
     def backup(s, floor):
-        """Back ``s`` up in every list; False at an edge to a state at most ``floor``.
+        """Back ``s`` up in both lists; False at an edge to a state at most ``floor``.
         One choice takes no best: a lone edge (of mass 1) passes its successor's
-        values on, and where the successors agree one backup serves all. Successors
+        values on, and where the successors agree one backup serves both. Successors
         of value 0 are skipped, so a sum of none is the shared integer 0."""
         a, b = fc[s], fc[s + 1]
         if b == a + 1:
@@ -107,7 +103,7 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
             lo[s] = q = sum(map(mul, compress(ws, low), filter(None, low)))
             hi[s] = q if low == high else sum(map(mul, compress(ws, high), filter(None, high)))
             return True
-        for v, best in zip(values, bests):
+        for v, best in ((lo, min), (hi, max)):
             for c in range(a, b):
                 ts = tg[fe[c]:fe[c + 1]]
                 if ts[0] <= floor:
@@ -133,7 +129,7 @@ def _reach_values(m: Mdp, target: str, bests, *, exact: bool):
             return 0
         acts = {s: [list(zip(tg[fe[c]:fe[c + 1]], map(weight, wi[fe[c]:fe[c + 1]])))
                     for c in range(fc[s], fc[s + 1])] for s in comp}
-        return _solve_component(acts, values, bests)
+        return _solve_component(acts, values)
 
     # Tarjan's arrays, from the first back edge on; a target is solved already
     index, low = [0] * m.state_count, [0] * m.state_count
@@ -186,16 +182,16 @@ def _components(root, m: Mdp, index, low, solve) -> int:
     return rounds
 
 
-def _solve_component(acts, values, bests) -> int:
-    """Solve one cyclic SCC in place in every list, its exits final there, and
-    return the policy evaluations, counted per direction. If every state has
-    one action, the SCC is a strongly connected Markov chain (every state
-    reaches a positive exit, or none does and all are 0): one elimination,
-    with a right-hand side per distinct live exit vector, solves it; that
-    counts 1 for max, and 1 for min unless its values are 0.
+def _solve_component(acts, values) -> int:
+    """Solve one cyclic SCC in place in the lists ``(lo, hi)``, its exits
+    final there, and return the policy evaluations, counted per direction. If
+    every state has one action, the SCC is a strongly connected Markov chain
+    (every state reaches a positive exit, or none does and all are 0): one
+    elimination, with a right-hand side per distinct live exit vector, solves
+    it; that counts 1 for max, and 1 for min unless its values are 0.
     """
     if any(len(row) > 1 for row in acts.values()):
-        return sum(_improve(acts, v, best) for v, best in zip(values, bests))
+        return _improve(acts, values[0], min) + _improve(acts, values[1], max)
     rhs = [{s: sum(w * v[t] for t, w in row[0] if t not in acts) for s, row in acts.items()}
            for v in values]
     alive = [any(b.values()) for b in rhs]
@@ -206,7 +202,7 @@ def _solve_component(acts, values, bests) -> int:
     for v, x, live_here in zip(values, (xs[0], xs[-1]), alive):
         for s in acts:
             v[s] = x[s] if live_here else 0
-    return sum(best is max or live_here for live_here, best in zip(alive, bests))
+    return 1 + alive[0]
 
 
 def _improve(acts, v, best) -> int:
@@ -261,16 +257,12 @@ def _improve(acts, v, best) -> int:
 
 def _solve_linear(order: list[int], rows: dict[int, dict[int, Fraction]],
                   rhs: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Solve x = A x + b by sparse elimination in the given variable order, for
-    each b in ``rhs`` with the same operations as alone; one solution per b.
-    Each ``rows[s]`` maps variables of ``order`` to their coefficients. The
-    order should roughly follow reverse topological order to keep fill-in
-    small; correctness does not depend on it.
-    """
-    pred: dict[int, set[int]] = {s: set() for s in order}
-    for s, row in rows.items():
-        for t in row:
-            pred[t].add(s)
+    """Solve x = A x + b by elimination in the given variable order, for each
+    b in ``rhs`` with the same operations as alone; one solution per b. Each
+    ``rows[s]`` maps variables of ``order`` to their coefficients. A pivot goes
+    into every row left, with no sparsity bookkeeping, since the models'
+    components have a few states; any order is correct, reverse topological
+    order keeps fill-in small."""
     solved: dict[int, tuple[dict[int, Fraction], list[Fraction]]] = {}
     for s in order:
         row = rows.pop(s)
@@ -283,19 +275,13 @@ def _solve_linear(order: list[int], rows: dict[int, dict[int, Fraction]],
             row = {t: c * scale for t, c in row.items()}
             bs = [b * scale for b in bs]
         solved[s] = (row, bs)
-        for p in list(pred[s]):
-            prow = rows.get(p)  # None once p is eliminated
-            coef = None if prow is None else prow.pop(s, None)
+        for p, prow in rows.items():
+            coef = prow.pop(s, None)
             if coef is None:
                 continue
             for t, c in row.items():
                 cur = prow.get(t)
-                nxt = coef * c if cur is None else cur + coef * c
-                if nxt == 0:
-                    prow.pop(t, None)
-                else:
-                    prow[t] = nxt
-                    pred[t].add(p)
+                prow[t] = coef * c if cur is None else cur + coef * c
             for b, r in zip(bs, rhs):
                 r[p] = r[p] + coef * b
     values: list[dict[int, Fraction]] = [{} for _ in rhs]

@@ -14,7 +14,8 @@ from dispersal_mc.bisim import (NotBisimulationError, Partition, _verify, bisimi
                                 coarsest_bisimulation, quotient,
                                 verify_capacity_abstraction,
                                 verify_channel_cutoff, witness_contained)
-from dispersal_mc.models import HACKED, AbstractionPreconditionError, expand_channels
+from dispersal_mc.models import (HACKED, AbstractionPreconditionError, ParameterError,
+                                 expand_channels)
 from dispersal_mc.solver import solve_reach
 from helpers import (coarsest_by_bruteforce, is_forward, make_mdp, random_forward_mdp,
                      random_mdp, refine_by_rounds, same_block, sccs)
@@ -156,6 +157,13 @@ class TestQuotient:
             quotient(m, Partition((0, 0), ((0, 1),)))
         assert err.value.counterexample == (0, 1)
 
+    def test_refuses_equal_labels_with_different_masses(self):
+        # 0 and 1 carry no label, but only 0 moves to the goal block
+        m = make_mdp({0: {"a": {2: 1}}, 1: {}, 2: {}}, labels={2: ("g",)})
+        with pytest.raises(NotBisimulationError, match="block-level transition masses") as err:
+            quotient(m, Partition((0, 0, 1), ((0, 1), (2,))))
+        assert err.value.counterexample == (0, 1)
+
     def test_quotient_preserves_reachability(self):
         params = ModelParams(n=2, m=1, c=2, k1=1, k2=1, a=(F(1, 2),),
                              x=(F(1), F(1)), p=(F(1),))
@@ -245,6 +253,18 @@ class TestChannelCutoff:
         assert report.equivalent
         assert report.states == (1_425, 121_842)
         assert report.blocks == 135
+
+    @pytest.mark.parametrize("small, big, c, error", [
+        ([Channel(1, Distribution.uniform(1), F(1, 10))] * 2,
+         [Channel(2, Distribution.uniform(2), F(1, 10))], None, "equal length"),
+        ([Channel(2, Distribution.uniform(2), F(1, 10))],
+         [Channel(2, Distribution.uniform(2), F(1, 10))], None, "one server per channel"),
+        ([Channel(1, Distribution.uniform(1), F(1, 10))],
+         [Channel(2, Distribution.uniform(2), F(1, 10))], 2, "needs c >= n"),
+    ], ids=["unequal-lengths", "grouped-reference", "capacity-below-n"])
+    def test_malformed_instance_refused(self, small, big, c, error):
+        with pytest.raises((ParameterError, AbstractionPreconditionError), match=error):
+            verify_channel_cutoff(Distribution.point(1), small, big, n=3, k1=2, k2=3, c=c)
 
     def test_nonuniform_group_routing(self):
         f = Distribution({1: F(1, 3), 2: F(2, 3)})

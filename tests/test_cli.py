@@ -8,14 +8,18 @@ from pathlib import Path
 
 import pytest
 
+from dispersal_mc import cli
+from dispersal_mc.bisim import _verify
 from dispersal_mc.cli import build_parser, main
 from dispersal_mc.configio import (ConfigError, channel_cutoff_from_dict, load_json,
                                   load_model_params, load_sweep_spec,
                                   model_params_from_dict, sweep_spec_from_dict)
 from dispersal_mc.experiments import params_for
 from dispersal_mc.models import HACKED, build_composed
-from dispersal_mc.rationals import format_decimal, format_float, format_rational
+from dispersal_mc.rationals import (format_decimal, format_float, format_rational,
+                                    parse_probability)
 from dispersal_mc.solver import exact_reach, solve_reach
+from helpers import make_mdp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,6 +57,23 @@ def run(argv):
 def test_decimal_matches_format_float_off_ties(q):
     # none of these is near a 12-digit tie, so the float rounds the same way
     assert format_decimal(Fraction(q)) == format_float(float(Fraction(q)))
+
+
+@pytest.mark.parametrize("value, parsed", [
+    ("1/3", Fraction(1, 3)), (" 0.1 ", Fraction(1, 10)), (Fraction(2, 7), Fraction(2, 7)),
+    (0, Fraction(0)), (1, Fraction(1)), (0.1, Fraction(1, 10)), (1.0, Fraction(1)),
+    (True, TypeError), (None, TypeError), (["1/2"], TypeError), (Fraction(1, 2) + 0j, TypeError),
+    ("3/2", ValueError), ("-0.1", ValueError), (Fraction(-1, 3), ValueError), (2, ValueError),
+    (1.5, ValueError), ("half", ValueError),
+], ids=["str-fraction", "str-decimal", "Fraction", "int-0", "int-1", "float", "float-one",
+        "bool", "None", "list", "complex", "above-one", "negative-decimal",
+        "negative-Fraction", "int-above-one", "float-above-one", "not-a-number"])
+def test_parse_probability(value, parsed):
+    if isinstance(parsed, Fraction):
+        assert parse_probability(value) == parsed
+    else:
+        with pytest.raises(parsed):
+            parse_probability(value)
 
 
 def test_decimal_ties_round_half_even():
@@ -208,8 +229,8 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("n", "6"), ("k1", 2.5), ("k2", True), ("c", 6.5), ("x", ["a"]),
-        ("f", ["a", "1/2"]),
-    ], ids=["n", "k1", "k2", "c", "x", "f"])
+        ("f", ["a", "1/2"]), ("x", [True, "1"]), ("x", [None, "1"]), ("f", ["3/2", "-1/2"]),
+    ], ids=["n", "k1", "k2", "c", "x", "f", "x-bool", "x-null", "f-outside-unit"])
     def test_verify_thm2_rejects_malformed_field(self, tmp_path, capsys, field, value):
         doc = {"n": 3, "k1": 2, "k2": 3,
                "channels": [{"size": 2, "a": "0.1"}, {"size": 1, "a": "0.3"}]}
@@ -229,9 +250,16 @@ class TestCli:
         ("sweep", dict(SWEEP, profile="rs", ratio="0")),
         ("check", dict(THM3, profile=["lt-linear"])),
         ("sweep", dict(SWEEP, profile=["lt-linear"])),
+        ("sweep", dict(SWEEP, attacker="server")),
+        ("sweep", dict(SWEEP, solver="simplex")),
+        ("sweep", dict(SWEEP, n_from=5, n_to=4)),
+        ("sweep", {k: v for k, v in SWEEP.items() if k != "a_interval"}),
+        ("sweep", dict(SWEEP, profile="explicit", k1=2, k2=3, x=["1/2", "1"], n_to=4)),
     ], ids=["lt-linear-k1-above-k2", "rs-zero-ratio", "sweep-zero-servers",
             "sweep-explicit-without-thresholds", "sweep-rs-zero-ratio",
-            "profile-not-a-string", "sweep-profile-not-a-string"])
+            "profile-not-a-string", "sweep-profile-not-a-string", "sweep-unknown-attacker",
+            "sweep-unknown-solver", "sweep-n_to-below-n_from", "sweep-no-attack-vector",
+            "sweep-explicit-several-points"])
     def test_config_fault_exit_two(self, tmp_path, capsys, command, doc):
         cfg = str(write_json(tmp_path, "fault.json", doc))
         argv = (["check", "--config", cfg, "--attacker", "slice"] if command == "check"
@@ -285,7 +313,10 @@ class TestCli:
         assert rows[0].startswith("1,,,") and rows[1].startswith("11,0.")
 
     @pytest.mark.parametrize("command", ["sweep", "export"])
-    def test_unwritable_out_path_exit_two(self, tmp_path, capsys, command):
+    def test_unwritable_out_path_exit_two(self, tmp_path, capsys, monkeypatch, command):
+        # the sweep fails on its output path before it solves any point
+        sweeps = []
+        monkeypatch.setattr(cli, "sweep", lambda spec: sweeps.append(spec) or [])
         out_path = tmp_path / "missing" / "out"
         argv = (["sweep", "--spec", str(write_json(tmp_path, "s.json", SWEEP))]
                 if command == "sweep" else
@@ -293,8 +324,53 @@ class TestCli:
                  "--attacker", "slice"])
         code, out = run(argv + ["--out", str(out_path)])
         err = capsys.readouterr().err
-        assert (code, out) == (2, "")
+        assert (code, out, sweeps) == (2, "", [])
         assert err.startswith("error: ") and str(out_path) in err
+
+    def test_failed_sweep_keeps_an_existing_out_file(self, tmp_path, capsys, monkeypatch):
+        def fail(spec):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(cli, "sweep", fail)
+        out_path = tmp_path / "out.csv"
+        out_path.write_text("kept\n")
+        code, _ = run(["sweep", "--spec", str(write_json(tmp_path, "s.json", SWEEP)),
+                       "--out", str(out_path)])
+        assert (code, capsys.readouterr().err) == (2, "error: disk gone\n")
+        assert out_path.read_text() == "kept\n"
+
+    def test_sweep_timing_changes_only_wall_ms(self, tmp_path):
+        # --timing and "timing": true give every row a positive wall_ms and
+        # leave every other column as an untimed run writes it
+        doc = dict(SWEEP, n_from=2, n_to=4, n_step=1)
+        tables = {}
+        for name, spec, flags in (("untimed", doc, []), ("flag", doc, ["--timing"]),
+                                  ("field", dict(doc, timing=True), [])):
+            out_path = tmp_path / f"{name}.csv"
+            code, _ = run(["sweep", "--spec", str(write_json(tmp_path, f"{name}.json", spec)),
+                           "--out", str(out_path), *flags])
+            assert code == 0
+            tables[name] = [line.split(",") for line in out_path.read_text().splitlines()]
+        header, *untimed = tables["untimed"]
+        column = header.index("wall_ms")
+        assert len(untimed) == 3 and {row[column] for row in untimed} == {"0"}
+        for name in ("flag", "field"):
+            assert tables[name][0] == header
+            rows = tables[name][1:]
+            assert all(float(row[column]) > 0 for row in rows)
+            assert [row[:column] + row[column + 1:] for row in rows] == \
+                [row[:column] + row[column + 1:] for row in untimed]
+
+    def test_failed_verify_text_report_prints_counterexample(self, tmp_path, monkeypatch):
+        # bisimilar sides, but a witness that relates every state to every other
+        m = make_mdp({0: {"a": {1: 1}}, 1: {}}, labels={1: (HACKED,)}, ap=(HACKED,))
+        report = _verify("demo", {"full": m, "reduced": m},
+                         {"full": lambda s: 0, "reduced": lambda s: 0})
+        monkeypatch.setattr(cli, "verify_capacity_abstraction", lambda params: report)
+        code, out = run(["verify-thm3", "--config", str(write_json(tmp_path, "t.json", THM3))])
+        lines = out.splitlines()
+        assert code == 1 and "equivalent=False" in lines
+        assert lines[-1] == "counterexample=[0, 1]"
 
     def test_shipped_and_benchmark_inputs_load(self):
         # every file under configs/ and every input the benchmark writes goes

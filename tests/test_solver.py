@@ -12,6 +12,7 @@ from dispersal_mc import ModelParams, build_composed, uniform_probabilities
 from acceptance_grid import build_grid
 from dispersal_mc import solver
 from dispersal_mc.configio import load_model_params
+from dispersal_mc.experiments import enumerate_oracle
 from dispersal_mc.models import HACKED, make_params
 from dispersal_mc.solver import QueryError, exact_reach, solve_reach
 from helpers import (is_forward, make_mdp, random_forward_mdp, random_mdp, random_params,
@@ -20,14 +21,14 @@ from helpers import (is_forward, make_mdp, random_forward_mdp, random_mdp, rando
 F = Fraction
 
 
-def exact_pair(m, target, res):
-    """Both exact directions from one pass, checked against one direction at
-    a time and against the float solve ``res``."""
+def exact_pair(m, target, res, reference, tol=1e-9):
+    """Both exact directions from one pass, checked against ``reference``, a
+    (min, max) pair computed without the engine, to within ``tol``, and
+    against the float solve ``res``."""
     pair = solve_reach(m, target, exact=True)
     assert type(pair.pmin) is type(pair.pmax) is Fraction
-    assert (pair.pmin, pair.pmax) == (exact_reach(m, target, "min"),
-                                      exact_reach(m, target, "max"))
-    for value, exact in ((res.pmin, pair.pmin), (res.pmax, pair.pmax)):
+    for value, exact, ref in zip((res.pmin, res.pmax), (pair.pmin, pair.pmax), reference):
+        assert abs(exact - ref) <= tol
         assert abs(value - float(exact)) <= 1e-12 * float(exact)
     return pair
 
@@ -65,6 +66,12 @@ class TestValueIteration:
             solve_reach(m, "nope")
         with pytest.raises(QueryError):
             exact_reach(m, "nope", "max")
+
+    @pytest.mark.parametrize("direction", ["sup", "Max", None])
+    def test_unknown_direction_rejected(self, direction):
+        m = make_mdp({0: {}}, labels={0: ("goal",)})
+        with pytest.raises(QueryError, match="direction must be 'min' or 'max'"):
+            exact_reach(m, "goal", direction)
 
     def test_self_loop_target(self):
         m = make_mdp({0: {"a": {0: 1}}}, labels={0: ("goal",)})
@@ -150,11 +157,11 @@ class TestExactEngine:
             cyclic += max(sizes) > 1
             large += max(sizes) > 3
             res = solve_reach(m, "g")
-            pair = exact_pair(m, "g", res)
-            for direction, value, exact in (("min", res.pmin, pair.pmin),
-                                            ("max", res.pmax, pair.pmax)):
+            references = [value_iteration(m, "g", direction) for direction in ("min", "max")]
+            pair = exact_pair(m, "g", res, references)
+            for value, exact, reference in zip((res.pmin, res.pmax), (pair.pmin, pair.pmax),
+                                               references):
                 assert abs(value - float(exact)) <= 1e-12
-                reference = value_iteration(m, "g", direction)
                 assert abs(value - reference) <= 1e-9
                 assert abs(float(exact) - reference) <= 1e-9
         assert cyclic >= 100 and large >= 20
@@ -222,6 +229,36 @@ class TestEndComponents:
         res = solve_reach(dead, "goal")
         assert (calls, res.iterations, res.pmin, res.pmax) == ([], 1, 0.0, 0.0)
 
+    @staticmethod
+    def ring(n=200):
+        """``n`` states in a cycle, each going on with 1/2 and to the goal ``n``
+        and the sink ``n + 1`` with 1/4 each: every state is worth 1/2."""
+        return {s: {"on": {(s + 1) % n: F(1, 2), n: F(1, 4), n + 1: F(1, 4)}}
+                for s in range(n)}
+
+    def test_long_one_action_cycle(self, eliminations):
+        m = make_mdp(self.ring(), labels={200: ("goal",)})
+        res, exact = solve_reach(m, "goal"), solve_reach(m, "goal", exact=True)
+        # one elimination of all 200 states in each arithmetic
+        assert (eliminations, res.iterations) == ([1, 1], 2)
+        assert (exact.pmin, exact.pmax) == (F(1, 2), F(1, 2))
+        assert abs(res.pmin - 0.5) <= 1e-12 and abs(res.pmax - 0.5) <= 1e-12
+
+    def test_long_cycle_with_a_choice_agrees_with_value_iteration(self):
+        # each state of the ring may instead jump to a random state with 1/2
+        # and reach the goal with 1/8, 1/4 or 3/8
+        rng = random.Random(67)
+        rows = self.ring()
+        for s, row in rows.items():
+            w = F(rng.randint(1, 3), 8)
+            row["jump"] = {rng.randrange(200): F(1, 2), 200: w, 201: F(1, 2) - w}
+        m = make_mdp(rows, labels={200: ("goal",)})
+        res, exact = solve_reach(m, "goal"), solve_reach(m, "goal", exact=True)
+        assert res.iterations > 2 and res.pmin < res.pmax - 0.1
+        for direction, value, q in (("min", res.pmin, exact.pmin), ("max", res.pmax, exact.pmax)):
+            assert abs(value - float(q)) <= 1e-12
+            assert abs(value - value_iteration(m, "goal", direction)) <= 1e-9
+
     @pytest.mark.parametrize("exit_choices, rhs, iterations, values", [
         # the loop's exit state 4 is worth 0 for min and 1 for max
         ({"hit": {2: 1}, "miss": {3: 1}}, [1], 1, (0, F(2, 5))),
@@ -263,13 +300,15 @@ def test_cyclic_models_floats_and_iterations_are_pinned(attacker, n, c, k1, k2, 
                                                         pmin, pmax, iterations, exact):
     # the capacity-bound models of the check-cyclic benchmark workload (seed 0);
     # ``exact`` is the exact pass's count, lower on slice models, where float
-    # round-off makes equal actions look like a strict improvement
+    # round-off makes equal actions look like a strict improvement; the
+    # scheduler has no effect on these models, so the oracle gives both values
     params = make_params("lt-linear", n, 3, (F(1, 10), F(1, 5), F(3, 10)), c=c, k1=k1, k2=k2)
     m = build_composed(params, attacker)
     res = solve_reach(m, HACKED)
     assert (m.state_count, res.pmin.hex(), res.pmax.hex(), res.iterations) == \
         (states, pmin, pmax, iterations)
-    assert exact_pair(m, HACKED, res).iterations == exact
+    oracle = enumerate_oracle(params, attacker)
+    assert exact_pair(m, HACKED, res, (oracle, oracle), tol=0).iterations == exact
 
 
 def random_forward_rows(rng: random.Random, max_states=10):
@@ -328,7 +367,8 @@ class TestForwardOrder:
         rng = random.Random(61)
         for _ in range(300):
             m = random_forward_mdp(rng)
-            assert exact_pair(m, "g", solve_reach(m, "g")).iterations == 0
+            references = [value_iteration(m, "g", direction) for direction in ("min", "max")]
+            assert exact_pair(m, "g", solve_reach(m, "g"), references).iterations == 0
 
     def test_tarjan_gives_the_same_numbers(self):
         for m, rows in self.models(43):
