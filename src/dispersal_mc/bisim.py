@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .mdp import Distribution, Mdp, MdpBuilder
-from .models import (AbstractionPreconditionError, Channel, ModelParams,
-                     ParameterError, build_composed, expand_channels, make_params)
+from .models import (AbstractionPreconditionError, Channel, ModelParams, ParameterError,
+                     build_client, build_composed, expand_channels, make_params)
 from .solver import solve_reach
 
 
@@ -317,11 +317,9 @@ def verify_capacity_abstraction(params: ModelParams) -> AbstractionReport:
     Builds the provider-attack composition with the full client and with the
     counter-free client, decides bisimilarity, and checks that agreement on
     all remaining variables sits inside the computed bisimulation. Refuses
-    c < n, where the abstraction is unsound.
+    c < n, where the abstraction is unsound, before expanding either side.
     """
-    if params.c < params.n:
-        raise AbstractionPreconditionError(
-            f"capacity abstraction needs c >= n, got c={params.c} n={params.n}")
+    build_client(params, reduced=True)  # refuses c < n; the larger full side expands first
     sides = {name: build_composed(params, "provider", reduced=name == "reduced")
              for name in ("full", "reduced")}
     shared = sides["reduced"].variables

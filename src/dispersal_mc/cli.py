@@ -15,10 +15,10 @@ from .bisim import bisimilar, verify_capacity_abstraction, verify_channel_cutoff
 from .configio import (ConfigError, channel_cutoff_from_dict, load_json,
                        load_model_params, load_sweep_spec)
 from .experiments import OracleCapError, emit_csv, enumerate_oracle, sweep
-from .models import AbstractionPreconditionError, Channel, ParameterError, build_composed
+from .models import Channel, ParameterError, build_composed
 from .mdp import Distribution, ModelError
 from .prism import export_prism
-from .rationals import format_decimal, format_float, format_rational
+from .rationals import format_decimal, format_rational
 from .solver import QueryError, SolverError, solve_reach
 
 
@@ -34,7 +34,7 @@ def _cmd_check(args, out) -> int:
     params = load_model_params(args.config)
     model = build_composed(params, args.attacker, reduced=args.reduced)
     res = solve_reach(model, "hacked", exact=args.exact)
-    fmt = format_rational if args.exact else format_float
+    fmt = format_rational if args.exact else format_decimal
     payload = {"pmin": fmt(res.pmin), "pmax": fmt(res.pmax),
                "states": model.state_count, "transitions": model.transition_count}
     _emit(payload, args.format, out)
@@ -96,8 +96,8 @@ def _emit_report(report, fmt: str, out) -> None:
                 "blocks", "states", "transitions", "reason"):
         out.write(f"{key}={d[key]}\n")
     for side, probe in d["probes"].items():
-        out.write(f"{side}: pmin={format_float(probe['pmin'])} "
-                  f"pmax={format_float(probe['pmax'])}\n")
+        out.write(f"{side}: pmin={format_decimal(probe['pmin'])} "
+                  f"pmax={format_decimal(probe['pmax'])}\n")
     if d["counterexample"]:
         out.write(f"counterexample={d['counterexample']}\n")
 
@@ -198,8 +198,7 @@ def main(argv=None, out=None) -> int:
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (AbstractionPreconditionError, ParameterError, ModelError, QueryError,
-            SolverError, OracleCapError) as exc:
+    except (ParameterError, ModelError, QueryError, SolverError, OracleCapError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 1
 

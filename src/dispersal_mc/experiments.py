@@ -15,11 +15,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from operator import mul
+from random import Random
 from typing import Iterable
 
 from .models import (ModelParams, ParameterError, build_composed, check_thresholds,
                      check_vectors, make_params, round_half_up)
-from .rationals import format_decimal, format_float
+from .rationals import format_decimal
 from .solver import solve_reach
 
 CSV_HEADER = "n,pmin,pmax,states,transitions,wall_ms,iterations"
@@ -90,7 +91,8 @@ class SweepSpec:
 
 @dataclass
 class SweepRow:
-    """One solved sweep point."""
+    """One solved sweep point. A Monte-Carlo point has 0 states and transitions,
+    its Wilson interval as (pmin, pmax) and its sample count as iterations."""
 
     n: int
     pmin: float | Fraction  # exact with ``"solver": "exact"``
@@ -128,7 +130,7 @@ def _solve_point(spec: SweepSpec, n: int) -> SweepRow:
         params = params_for(spec, n)
         if spec.solver == "mc":
             est = monte_carlo(params, spec.attacker, spec.samples, spec.seed)
-            row = SweepRow(n, est.estimate, est.estimate, 0, 0, 0.0, spec.samples)
+            row = SweepRow(n, est.low, est.high, 0, 0, 0.0, spec.samples)
         else:
             model = build_composed(params, spec.attacker,
                                    reduced=params.c >= params.n)
@@ -165,10 +167,9 @@ def emit_csv(rows: Iterable[SweepRow], path) -> None:
         if row.error is not None:
             pmin = pmax = ""
         else:
-            pmin, pmax = (format_decimal(q) if isinstance(q, Fraction) else format_float(q)
-                          for q in (row.pmin, row.pmax))
+            pmin, pmax = format_decimal(row.pmin), format_decimal(row.pmax)
         lines.append(f"{row.n},{pmin},{pmax},{row.states},{row.transitions},"
-                     f"{format_float(row.wall_ms)},{row.iterations}")
+                     f"{format_decimal(row.wall_ms)},{row.iterations}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -269,34 +270,6 @@ def _walk(params: ModelParams, hit, win, end) -> Fraction:
 # --- Monte-Carlo cross-check --------------------------------------------------
 
 
-_MASK64 = (1 << 64) - 1
-
-
-class SplitMix64:
-    """SplitMix64 generator: 64-bit counter state with an avalanche mix.
-
-    Chosen for reproducibility across implementations; doubles come from the
-    top 53 bits.
-    """
-
-    __slots__ = ("_state",)
-
-    GAMMA = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + self.GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def random(self) -> float:
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Monte-Carlo estimate with a Wilson score 95% interval."""
@@ -310,10 +283,11 @@ class McEstimate:
 
 def monte_carlo(params: ModelParams, attacker: str, samples: int,
                 seed: int) -> McEstimate:
-    """Estimate the attack probability by simulating complete runs."""
+    """Estimate the attack probability by simulating complete runs, drawing
+    from ``random.Random(seed)``, whose stream Python keeps for an int seed."""
     if samples < 1:
         raise ParameterError("need at least one sample")
-    rng = SplitMix64(seed)
+    draw = Random(seed).random
     a = [float(v) for v in params.a]
     x = [float(v) for v in params.x]
     p = [float(v) for v in params.p]
@@ -321,9 +295,9 @@ def monte_carlo(params: ModelParams, attacker: str, samples: int,
     # Round-off can leave u >= the float sum of p: take the last pickable server.
     fallback = max(j for j in range(m) if p[j] > 0)
 
-    def route(counts, r) -> int:
+    def route(counts) -> int:
         while True:
-            u = r.random()
+            u = draw()
             acc = 0.0
             i = fallback
             for j in range(m):
@@ -341,21 +315,21 @@ def monte_carlo(params: ModelParams, attacker: str, samples: int,
             counts = [0] * m
             held = 0
             for _ in range(n):
-                i = route(counts, rng)
-                if rng.random() < a[i]:
+                i = route(counts)
+                if draw() < a[i]:
                     held += 1
-                    if held >= k1 and rng.random() < x[held - k1]:
+                    if held >= k1 and draw() < x[held - k1]:
                         hits += 1
                         break
     elif attacker == "provider":
         for _ in range(samples):
             counts = [0] * m
-            corrupted = [rng.random() < a[i] for i in range(m)]
+            corrupted = [draw() < a[i] for i in range(m)]
             held = 0
             for _ in range(n):
-                if corrupted[route(counts, rng)]:
+                if corrupted[route(counts)]:
                     held += 1
-            if held >= k1 and rng.random() < x[held - k1]:
+            if held >= k1 and draw() < x[held - k1]:
                 hits += 1
     else:
         raise ParameterError(f"unknown attacker kind {attacker!r}")

@@ -36,14 +36,10 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_float(x: float) -> str:
-    """Render a float with 12 significant digits."""
-    return f"{x:.12g}"
-
-
-def format_decimal(q: Fraction) -> str:
-    """Render a probability in ``format_float``'s layout from its exact value,
-    rounded once to 12 significant digits, half to even."""
+def format_decimal(q: Fraction | float) -> str:
+    """Render a number as ``f"{q:.12g}"`` would, from its exact value (a
+    float's binary value), rounded once to 12 significant digits, half to even."""
+    q = Fraction(q)
     if not q:
         return "0"
     e = len(str(q.numerator)) - len(str(q.denominator))

@@ -68,12 +68,13 @@ def _reach_values(m: Mdp, target: str, *, exact: bool):
     """Every state's value, as the pair of lists ``(lo, hi)`` for min and max,
     and the policy evaluations spent.
 
-    Targets are absorbing. The sweep backs the states up in reverse index
-    order while every edge out of a non-target goes to a later state (targets
-    ascend within a choice, so its first edge decides). A state with an edge
-    that does not goes to ``_components``, and the sweep skips what that
-    solved. Entries not written hold the integer 0, the value of a state
-    without actions.
+    Targets are absorbing. One sweep backs the states up in reverse index
+    order, solving each state whose edges all go to later states (targets
+    ascend within a choice, so its first edge decides). From any other state
+    ``_components`` runs, and the sweep skips what it solved, marked in
+    Tarjan's ``index``; those arrays come at the first such state, so a
+    forward model holds none. Entries not written hold the integer 0, the
+    value of a state without actions.
     """
     if target not in m.ap:
         raise QueryError(f"proposition {target!r} is not in the model's alphabet")
@@ -81,7 +82,8 @@ def _reach_values(m: Mdp, target: str, *, exact: bool):
     one = Fraction(1) if exact else 1.0
     table = m.weights if exact else [float(w) for w in m.weights]
     fc, fe, tg, wi = m.first_choice, m.first_edge, m.targets, m.weight_ids
-    lo, hi = values = [0] * m.state_count, [0] * m.state_count
+    n = m.state_count
+    lo, hi = values = [0] * n, [0] * n
     weight, low_at, high_at = table.__getitem__, lo.__getitem__, hi.__getitem__
 
     def backup(s, floor):
@@ -115,12 +117,6 @@ def _reach_values(m: Mdp, target: str, *, exact: bool):
 
     for s in targets:
         lo[s] = hi[s] = one
-    order = reversed(range(m.state_count))
-    for s in order:
-        if s not in targets and not backup(s, s):
-            break
-    else:
-        return values, 0
 
     def solve(comp) -> int:
         s = comp[0]
@@ -131,14 +127,16 @@ def _reach_values(m: Mdp, target: str, *, exact: bool):
                     for c in range(fc[s], fc[s + 1])] for s in comp}
         return _solve_component(acts, values)
 
-    # Tarjan's arrays, from the first back edge on; a target is solved already
-    index, low = [0] * m.state_count, [0] * m.state_count
-    for t in targets:
-        index[t] = m.state_count + 1
-    rounds = _components(s, m, index, low, solve)
-    for s in order:
-        if not index[s] and not backup(s, s):
-            rounds += _components(s, m, index, low, solve)
+    index = low = None  # Tarjan's arrays
+    rounds = 0
+    for s in reversed(range(n)):
+        if (s in targets if index is None else index[s]) or backup(s, s):
+            continue
+        if index is None:
+            index, low = [0] * n, [0] * n
+            for t in targets:  # past every DFS number: solved
+                index[t] = n + 1
+        rounds += _components(s, m, index, low, solve)
     return values, rounds
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dispersal_mc import bisim
+from dispersal_mc import bisim, models
 from dispersal_mc import (Channel, Distribution, ModelParams,
                           build_composed, lt_linear_profile,
                           uniform_probabilities)
@@ -288,12 +288,17 @@ class TestCapacityAbstraction:
         assert report.probes["full"]["pmax"] == pytest.approx(
             report.probes["reduced"]["pmax"], abs=1e-9)
 
-    def test_capacity_below_n_refused(self):
+    def test_capacity_below_n_refused(self, monkeypatch):
         params = ModelParams(n=3, m=2, c=2, k1=2, k2=3,
                              a=(F(1, 10), F(1, 5)),
                              x=lt_linear_profile(2, 3, 3),
                              p=uniform_probabilities(2))
-        with pytest.raises(AbstractionPreconditionError):
+
+        def expand(product):
+            raise AssertionError("expanded a side before refusing c < n")
+
+        monkeypatch.setattr(models, "expand", expand)
+        with pytest.raises(AbstractionPreconditionError, match="needs c >= n"):
             verify_capacity_abstraction(params)
 
     def test_sweep_size_instance_verified(self):

@@ -3,6 +3,8 @@
 import importlib.util
 import io
 import json
+import random
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +18,7 @@ from dispersal_mc.configio import (ConfigError, channel_cutoff_from_dict, load_j
                                   model_params_from_dict, sweep_spec_from_dict)
 from dispersal_mc.experiments import params_for
 from dispersal_mc.models import HACKED, build_composed
-from dispersal_mc.rationals import (format_decimal, format_float, format_rational,
-                                    parse_probability)
+from dispersal_mc.rationals import format_decimal, format_rational, parse_probability
 from dispersal_mc.solver import exact_reach, solve_reach
 from helpers import make_mdp
 
@@ -56,7 +57,7 @@ def run(argv):
                                "9999999999994/10000000000000", "17/1000000000000000000"])
 def test_decimal_matches_format_float_off_ties(q):
     # none of these is near a 12-digit tie, so the float rounds the same way
-    assert format_decimal(Fraction(q)) == format_float(float(Fraction(q)))
+    assert format_decimal(Fraction(q)) == f"{float(Fraction(q)):.12g}"
 
 
 @pytest.mark.parametrize("value, parsed", [
@@ -74,6 +75,23 @@ def test_parse_probability(value, parsed):
     else:
         with pytest.raises(parsed):
             parse_probability(value)
+
+
+def test_decimal_formats_floats_as_12g():
+    # both round a double's exact binary value once, half to even
+    rng = random.Random(21)
+    doubles = (struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]
+               for _ in range(3000))
+    floats = [x for x in doubles if x < float("inf")]  # every exponent, subnormals too
+    # j / 2**k with j * 5**k of 13 digits ending in 5 lies halfway between 12-digit decimals
+    ties = [j / 2 ** k for k in range(1, 17)
+            for j in rng.sample(range(-(-10 ** 12 // 5 ** k), 10 ** 13 // 5 ** k), 20)
+            if j % 2]
+    assert len(floats) > 2900 and len(ties) > 100
+    for x in floats + ties + [0.0, 5e-324, 1.0, 0.1, 1e-5, 1e22, 123456789012.5]:
+        assert format_decimal(x) == f"{x:.12g}", x.hex()
+    assert format_decimal(4097 / 4096) == "1.00024414062"
+    assert format_decimal(5e-324) == "4.94065645841e-324"
 
 
 def test_decimal_ties_round_half_even():
