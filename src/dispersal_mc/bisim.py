@@ -4,9 +4,9 @@ decisions, and machine checks of the two model-shrinking abstractions
 
 Coarsest partitions come from one reverse-index pass on unions whose edges
 all go to later states (Dovier, Piazza & Policriti, TCS 2004), and else from
-worklist refinement (Valmari & Franceschinis, TACAS 2010); blocks are
-numbered by smallest member. Signatures hold exact rational masses; floating
-arithmetic never enters a bisimulation decision.
+worklist refinement (Valmari & Franceschinis, TACAS 2010). A partition is
+one tuple of block ids, numbered by smallest member. Signatures hold exact
+rational masses; floating arithmetic never enters a bisimulation decision.
 """
 
 from __future__ import annotations
@@ -27,18 +27,6 @@ class NotBisimulationError(ValueError):
     def __init__(self, message, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
-
-
-@dataclass(frozen=True)
-class Partition:
-    """An equivalence-class decomposition of a state set."""
-
-    block_of: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
 
 
 def _layout(m: Mdp) -> tuple:
@@ -63,8 +51,9 @@ def _signature(layout: tuple, s: int, block_of, offset=0):
     return tuple(sig)
 
 
-def _refine(models: Sequence[Mdp]) -> Partition:
-    """Coarsest bisimulation of the disjoint union of ``models``.
+def _refine(models: Sequence[Mdp]) -> tuple[int, ...]:
+    """Coarsest bisimulation of the disjoint union of ``models``, as each
+    union state's block id.
 
     One pass in reverse index order, as the solver's sweep, gives each state
     the block of its (label, signature) pair, from one dict for the union,
@@ -122,46 +111,47 @@ def _refine(models: Sequence[Mdp]) -> Partition:
                 moved += group
         dirty = {u for t in moved for u in preds[t]}
     final: dict[int, int] = {}
-    block_of = [final.setdefault(b, len(final)) for b in block_of]
-    blocks: list[list[int]] = [[] for _ in final]
-    for s, b in enumerate(block_of):
-        blocks[b].append(s)
-    return Partition(tuple(block_of), tuple(tuple(b) for b in blocks))
+    return tuple(final.setdefault(b, len(final)) for b in block_of)
 
 
-def coarsest_bisimulation(m: Mdp) -> Partition:
-    """The coarsest probabilistic bisimulation of a single MDP."""
+def coarsest_bisimulation(m: Mdp) -> tuple[int, ...]:
+    """The coarsest probabilistic bisimulation of a single MDP, as each
+    state's block id, with blocks numbered by smallest member."""
     return _refine([m])
 
 
-def quotient(m: Mdp, partition: Partition) -> Mdp:
-    """Collapse an MDP along a bisimulation partition.
+def quotient(m: Mdp, block_of: Sequence[Hashable]) -> Mdp:
+    """Collapse an MDP along a bisimulation given as each state's block id.
 
-    Refuses partitions that are not bisimulations, naming a pair of states
-    that disagree. Quotient states are valuations of a single ``block``
-    variable.
+    Ids are renumbered by first appearance, so state 0 stays initial, and
+    each block's first state represents it. Refuses a tuple whose length is
+    not the state count, and partitions that are not bisimulations, naming a
+    pair of states that disagree. Quotient states are valuations of a single
+    ``block`` variable.
     """
-    layout = _layout(m)
-    for block in partition.blocks:
-        rep = block[0]
-        rep_sig = _signature(layout, rep, partition.block_of)
-        for s in block[1:]:
-            if m.labels[s] != m.labels[rep]:
-                raise NotBisimulationError(
-                    f"states {rep} and {s} share a block but not labels",
-                    counterexample=(rep, s))
-            if _signature(layout, s, partition.block_of) != rep_sig:
-                raise NotBisimulationError(
-                    f"states {rep} and {s} share a block but have different "
-                    f"block-level transition masses",
-                    counterexample=(rep, s))
+    if len(block_of) != m.state_count:
+        raise ValueError(f"{len(block_of)} block ids for {m.state_count} states")
+    ids: dict = {}
+    block_of = [ids.setdefault(b, len(ids)) for b in block_of]
+    layout, reps, rep_sigs = _layout(m), [], []
+    for s, b in enumerate(block_of):
+        sig = _signature(layout, s, block_of)
+        if b == len(reps):
+            reps.append(s)
+            rep_sigs.append(sig)
+        elif m.labels[s] != m.labels[reps[b]]:
+            raise NotBisimulationError(f"states {reps[b]} and {s} share a block but not labels",
+                                       counterexample=(reps[b], s))
+        elif sig != rep_sigs[b]:
+            raise NotBisimulationError(
+                f"states {reps[b]} and {s} share a block but have different "
+                f"block-level transition masses", counterexample=(reps[b], s))
     rows = MdpBuilder()
-    for block in partition.blocks:
-        rows.add_state([(action, [(partition.block_of[t], rows.weight_id(w)) for t, w in pairs])
-                        for action, pairs in m.choices(block[0])])
-    initial = m.initial.remap(lambda s: partition.block_of[s])
-    return Mdp(("block",), ((0, partition.num_blocks - 1),), list(range(partition.num_blocks)),
-               initial, [m.labels[block[0]] for block in partition.blocks], rows, ap=m.ap)
+    for rep in reps:
+        rows.add_state([(action, [(block_of[t], rows.weight_id(w)) for t, w in pairs])
+                        for action, pairs in m.choices(rep)])
+    return Mdp(("block",), ((0, len(reps) - 1),), list(range(len(reps))),
+               [m.labels[rep] for rep in reps], rows, ap=m.ap)
 
 
 @dataclass
@@ -171,34 +161,30 @@ class BisimResult:
     equivalent: bool
     reason: str
     blocks: int
-    partition: Partition | None = None
+    block_of: tuple[int, ...] | None = None
 
 
 def bisimilar(m1: Mdp, m2: Mdp) -> BisimResult:
     """Decide whether two MDPs are probabilistically bisimilar.
 
-    Computes the coarsest bisimulation of the disjoint union and then checks
-    that both initial distributions give every block the same mass.
+    Computes the coarsest bisimulation of the disjoint union, whose block 0
+    holds ``m1``'s initial state, and then checks that ``m2``'s initial
+    state shares that block.
     """
     if m1.ap != m2.ap:
         return BisimResult(False, f"proposition alphabets differ: "
                                   f"{sorted(m1.ap)} vs {sorted(m2.ap)}", 0)
-    offset = m1.state_count
-    part = _refine([m1, m2])
-    block_of = part.block_of
-    init1 = m1.initial.remap(lambda s: block_of[s])
-    init2 = m2.initial.remap(lambda s: block_of[s + offset])
-    if init1 != init2:
-        w1, w2 = dict(init1.items()), dict(init2.items())
-        b = min(b for b in w1.keys() | w2.keys() if w1.get(b) != w2.get(b))
-        return BisimResult(
-            False, f"initial mass differs on block {b}: {w1.get(b, 0)} vs {w2.get(b, 0)}",
-            part.num_blocks, part)
-    return BisimResult(True, "", part.num_blocks, part)
+    block_of = _refine([m1, m2])
+    blocks = max(block_of) + 1
+    if block_of[m1.state_count] != 0:
+        return BisimResult(False, "initial mass differs on block 0: 1 vs 0", blocks, block_of)
+    return BisimResult(True, "", blocks, block_of)
 
 
-def witness_contained(part: Partition, keys: Iterable) -> tuple[bool, tuple[int, int] | None]:
-    """Is the equivalence induced by equal witness keys inside the partition?
+def witness_contained(block_of: Sequence[int],
+                      keys: Iterable) -> tuple[bool, tuple[int, int] | None]:
+    """Is the equivalence induced by equal witness keys inside the partition
+    ``block_of``?
 
     Returns the first offending state pair when it is not.
     """
@@ -207,7 +193,7 @@ def witness_contained(part: Partition, keys: Iterable) -> tuple[bool, tuple[int,
         prev = seen.get(key)
         if prev is None:
             seen[key] = s
-        elif part.block_of[prev] != part.block_of[s]:
+        elif block_of[prev] != block_of[s]:
             return False, (prev, s)
     return True, None
 
@@ -248,9 +234,9 @@ def _verify(claim: str, sides: dict[str, Mdp],
     (_, m1), (_, m2) = sides.items()
     res = bisimilar(m1, m2)
     contained, pair = False, None
-    if res.partition is not None:
+    if res.block_of is not None:
         contained, pair = witness_contained(
-            res.partition,
+            res.block_of,
             (witness[side](code) for side, m in sides.items() for code in m.codes))
     return AbstractionReport(
         claim=claim, equivalent=res.equivalent and contained, bisimilar=res.equivalent,

@@ -32,7 +32,7 @@ def _emit(payload: dict, fmt: str, stream) -> None:
 
 def _cmd_check(args, out) -> int:
     params = load_model_params(args.config)
-    model = build_composed(params, args.attacker, reduced=args.reduced)
+    model = build_composed(params, args.attacker)
     res = solve_reach(model, "hacked", exact=args.exact)
     fmt = format_rational if args.exact else format_decimal
     payload = {"pmin": fmt(res.pmin), "pmax": fmt(res.pmax),
@@ -138,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", choices=("slice", "provider"), required=True)
     p.add_argument("--exact", action="store_true",
                    help="use the exact rational solver")
-    p.add_argument("--reduced", action="store_true",
-                   help="drop per-server occupancy counters (requires c >= n)")
     add_format(p)
     p.set_defaults(func=_cmd_check)
 

@@ -185,10 +185,10 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
             *(("samples", "seed") if solver == "mc" else ()))
     try:
         spec = SweepSpec(attacker=doc["attacker"], profile=profile, solver=solver,
-                         timing=doc.get("timing", False), **vectors, **_read(doc, read))
+                         **vectors, **_read(doc, read))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    _refuse_unread(doc, ("attacker", "profile", "solver", "timing", *read, *routing),
+    _refuse_unread(doc, ("attacker", "profile", "solver", *read, *routing),
                    f"{profile} sweep spec with solver {solver!r}")
     return spec
 

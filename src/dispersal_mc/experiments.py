@@ -25,6 +25,9 @@ from .solver import solve_reach
 
 CSV_HEADER = "n,pmin,pmax,states,transitions,wall_ms,iterations"
 
+# The enumeration oracle refuses walks that may memoise more keys than this.
+ORACLE_CAP = 1_000_000
+
 
 class OracleCapError(RuntimeError):
     """The enumeration oracle refuses walks whose memo could exceed its key cap."""
@@ -40,7 +43,8 @@ class SweepSpec:
     ``explicit`` takes ``k1``/``k2``/``x`` as given (single-point sweeps
     only). Attack probabilities come either from ``a`` or evenly spaced over
     ``a_interval``. The defaults of ``ratio``, ``c`` and ``p`` are those of
-    ``models.thresholds`` and ``models.make_params``.
+    ``models.thresholds`` and ``models.make_params``. ``timing``, which only
+    ``sweep --timing`` sets, records each point's wall-clock time.
     """
 
     attacker: str
@@ -77,8 +81,6 @@ class SweepSpec:
             raise ParameterError("either a or a_interval is required")
         if self.a_interval is not None and len(self.a_interval) != 2:
             raise ParameterError("field 'a_interval': expected [low, high]")
-        if not isinstance(self.timing, bool):
-            raise ParameterError(f"field 'timing': expected true or false, got {self.timing!r}")
         check_vectors(self.m, self.a, self.p)
         if self.profile != "lt-linear":  # a sweep rounds lt-linear thresholds per point
             check_thresholds(self.profile, ratio=self.ratio, k1=self.k1, k2=self.k2, x=self.x)
@@ -177,8 +179,7 @@ def emit_csv(rows: Iterable[SweepRow], path) -> None:
 # --- independent enumeration oracle ------------------------------------------
 
 
-def enumerate_oracle(params: ModelParams, attacker: str, *,
-                     cap: int = 1_000_000) -> Fraction:
+def enumerate_oracle(params: ModelParams, attacker: str) -> Fraction:
     """Ground-truth attack probability by exhaustive outcome enumeration.
 
     Sums over every routing sequence (with capacity-forced re-picks folded
@@ -188,8 +189,8 @@ def enumerate_oracle(params: ModelParams, attacker: str, *,
     occupancy counts and the slices held, so each is walked once. With
     c >= n no server is full before the last slice, the counts drop out, and
     a step hits with the routed mass of the intercepting (or corrupted)
-    servers; corruption sets of equal routed mass are then walked once. The
-    cap bounds the memo keys. Independent of the MDP engine and the
+    servers; corruption sets of equal routed mass are then walked once.
+    ``ORACLE_CAP`` bounds the memo keys. Independent of the MDP engine and the
     reachability solvers.
     """
     if attacker == "slice":
@@ -201,8 +202,8 @@ def enumerate_oracle(params: ModelParams, attacker: str, *,
     n, m, c = params.n, params.m, params.c
     # A key's counts are each at most c and sum to at most n.
     keys = len(groups) * (n + 1) * (n + 1 if c >= n else min((c + 1) ** m, math.comb(n + m, m)))
-    if keys > cap:
-        raise OracleCapError(f"the walk may memoise {keys} keys, above the cap {cap}")
+    if keys > ORACLE_CAP:
+        raise OracleCapError(f"the walk may memoise {keys} keys, above the cap {ORACLE_CAP}")
     reached = lambda held: params.x_at(held) if held >= params.k1 else Fraction(0)
     zero = lambda held: 0
     win, end = (reached, zero) if attacker == "slice" else (zero, reached)

@@ -38,10 +38,10 @@ class Distribution:
     """Finitely supported probability mass over integer-indexed outcomes.
 
     Masses are exact rationals; zero entries are dropped and repeated
-    outcomes merged. Holds initial distributions, channel routing and remaps.
-    The total is not forced to 1 at construction so that diagnostics can
-    inspect broken distributions; use :meth:`is_probability` where it
-    matters. Masses are read through :meth:`items`, sorted by outcome.
+    outcomes merged. It is left for channel routing. The total is not forced
+    to 1 at construction so that diagnostics can inspect broken
+    distributions; use :meth:`is_probability` where it matters. Masses are
+    read through :meth:`items`, sorted by outcome.
     """
 
     __slots__ = ("_items",)
@@ -57,10 +57,6 @@ class Distribution:
                 continue
             acc[key] = acc[key] + mass if key in acc else mass
         self._items = tuple(sorted(acc.items()))
-
-    @classmethod
-    def point(cls, outcome: int) -> "Distribution":
-        return cls({outcome: Fraction(1)})
 
     @classmethod
     def uniform(cls, m: int) -> "Distribution":
@@ -82,10 +78,6 @@ class Distribution:
 
     def is_probability(self) -> bool:
         return self.total() == 1
-
-    def remap(self, fn: Callable[[int], int]) -> "Distribution":
-        """Push the distribution through an outcome mapping, merging masses."""
-        return Distribution((fn(k), m) for k, m in self._items)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Distribution):
@@ -306,16 +298,15 @@ class Mdp:
     choice ``c`` is labelled ``actions[choice_action[c]]`` and owns the edges
     ``first_edge[c]`` up to ``first_edge[c + 1]``, and edge ``e`` goes to
     ``targets[e]`` with the exact mass ``weights[weight_ids[e]]``. Within a
-    choice, targets strictly increase. Instances are treated as immutable once
-    built; any number of concurrent readers is safe.
+    choice, targets strictly increase. State 0 is the initial state. Instances
+    are treated as immutable once built; any number of concurrent readers is safe.
     """
 
-    __slots__ = ("variables", "ranges", "codes", "initial", "labels", "ap", "actions", "weights",
+    __slots__ = ("variables", "ranges", "codes", "labels", "ap", "actions", "weights",
                  "first_choice", "choice_action", "first_edge", "targets", "weight_ids")
 
-    def __init__(self, variables, ranges, codes, initial, labels, rows: MdpBuilder, ap=None):
+    def __init__(self, variables, ranges, codes, labels, rows: MdpBuilder, ap=None):
         self.variables, self.ranges, self.codes = tuple(variables), tuple(ranges), codes
-        self.initial = initial if isinstance(initial, Distribution) else Distribution(initial)
         self.labels = [frozenset(lab) for lab in labels]
         self.ap = frozenset(ap) if ap is not None else frozenset().union(*self.labels)
         self.actions, self.weights = tuple(rows.actions), tuple(rows.weights)
@@ -508,7 +499,7 @@ def expand(module: TemplateModule) -> Mdp:
             raise fail(code)
         fc.append(len(ca))
     del index, get, memo  # free the discovery maps before the model is built
-    return Mdp(names, ranges, codes, Distribution.point(0), labels, rows, ap=module.labels.keys())
+    return Mdp(names, ranges, codes, labels, rows, ap=module.labels.keys())
 
 
 def compose_templates(left: TemplateModule, right: TemplateModule,

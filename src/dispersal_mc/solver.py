@@ -45,10 +45,9 @@ class ReachResult:
 
 def solve_reach(m: Mdp, target: str, *, exact: bool = False) -> ReachResult:
     """Min and max probability, over all schedulers, of eventually hitting the
-    target, in floats or, with ``exact``, in ``Fraction``s."""
+    target from state 0, in floats or, with ``exact``, in ``Fraction``s."""
     values, rounds = _reach_values(m, target, exact=exact)
-    pmin, pmax = ((Fraction if exact else float)(
-        sum((w * v[s] for s, w in m.initial.items()), Fraction(0))) for v in values)
+    pmin, pmax = ((Fraction if exact else float)(v[0]) for v in values)
     return ReachResult(pmin=pmin, pmax=pmax, iterations=rounds)
 
 

@@ -13,18 +13,15 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from dispersal_mc import (Distribution, ExplorationError, Mdp, ModelError, ModelParams,
-                          TemplateModule)
-from dispersal_mc.bisim import Partition
+from dispersal_mc import ExplorationError, Mdp, ModelError, ModelParams, TemplateModule
 from dispersal_mc.mdp import MdpBuilder
 
 
-def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
-    """Build an MDP over integer states from a nested dict.
+def make_mdp(transitions, labels=None, ap=None, num_states=None):
+    """Build an MDP over integer states, initial state 0, from a nested dict.
 
     ``transitions[s][action]`` maps target states to masses. ``labels`` maps
-    state to an iterable of propositions. ``initial`` is a state index or a
-    {state: mass} dict.
+    state to an iterable of propositions.
     """
     n = num_states
     if n is None:
@@ -41,20 +38,17 @@ def make_mdp(transitions, labels=None, initial=0, ap=None, num_states=None):
         rows.add_state([(action, [(t, rows.weight_id(Fraction(w))) for t, w in dist.items()])
                         for action, dist in transitions.get(s, {}).items()])
     labs = [frozenset(labels.get(s, ())) if labels else frozenset() for s in range(n)]
-    init = Distribution({initial: Fraction(1)}) if isinstance(initial, int) \
-        else Distribution({s: Fraction(w) for s, w in initial.items()})
-    return Mdp(("s",), ((0, n - 1),), list(range(n)), init, labs, rows, ap=ap)
+    return Mdp(("s",), ((0, n - 1),), list(range(n)), labs, rows, ap=ap)
 
 
 def validate(m: Mdp) -> list[str]:
     """Check the defining invariants of an MDP, returning one message per violation.
 
     An empty list means: state codes are distinct and each decodes inside
-    the declared ranges, the initial distribution sums to exactly 1 over
-    states, every table mass is positive, both offset arrays rise from 0 to
-    the length of the arrays they index, action and weight ids index their
-    tables, and each choice's targets are states in strictly increasing
-    order whose masses sum to exactly 1. A broken offset array or action id
+    the declared ranges, every table mass is positive, both offset arrays
+    rise from 0 to the length of the arrays they index, action and weight
+    ids index their tables, and each choice's targets are states in strictly
+    increasing order whose masses sum to exactly 1. A broken offset array or action id
     ends the check, since the choices cannot be walked.
     """
     n, fc, fe, tg, wi = m.state_count, m.first_choice, m.first_edge, m.targets, m.weight_ids
@@ -63,10 +57,6 @@ def validate(m: Mdp) -> list[str]:
                 for s, c in enumerate(m.codes) if not 0 <= c < size]
     problems += [f"state {s}: code {c} repeats state {first[c]}"
                  for s, c in enumerate(m.codes) if first.setdefault(c, s) != s]
-    total = m.initial.total()
-    problems += [f"initial distribution: mass {total} != 1"] if total != 1 else []
-    problems += [f"initial distribution: target {t} is not a state"
-                 for t in m.initial.support if not 0 <= t < n]
     problems += [f"weight table: mass {w} is not positive" for w in m.weights if w <= 0]
     for name, offsets, rows, cells in (("first_choice", fc, n, m.choice_action),
                                        ("first_edge", fe, len(m.choice_action), tg),
@@ -99,7 +89,7 @@ def validate(m: Mdp) -> list[str]:
 
 
 def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> float:
-    """Min/max reachability of the initial distribution by plain value iteration.
+    """Min/max reachability of the initial state 0 by plain value iteration.
 
     The numeric reference for the solver's SCC engine, sharing none of its
     code. Targets hold 1 and every other state starts at 0; states without
@@ -121,7 +111,7 @@ def value_iteration(m: Mdp, target: str, direction: str, tol: float = 1e-13) -> 
             rise = max(rise, new - v[s])
             v[s] = new
         if rise < tol:
-            return sum(float(w) * v[s] for s, w in m.initial.items())
+            return v[0]
     raise AssertionError("value iteration did not converge")
 
 
@@ -342,8 +332,8 @@ def random_params(rng: random.Random, max_n=6, max_m=3) -> ModelParams:
     return ModelParams(n=n, m=m, c=c, k1=k1, k2=k2, a=a, x=tuple(x), p=p)
 
 
-def same_block(part: Partition, s: int, t: int) -> bool:
-    return part.block_of[s] == part.block_of[t]
+def same_block(block_of: tuple[int, ...], s: int, t: int) -> bool:
+    return block_of[s] == block_of[t]
 
 
 def all_set_partitions(items):

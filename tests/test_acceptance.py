@@ -96,11 +96,11 @@ def test_criterion_3_extremes_coincide():
 
 
 CUTOFF_GRID = [
-    ("k1-size2", Distribution.point(1),
+    ("k1-size2", Distribution({1: 1}),
      [Channel(1, Distribution.uniform(1), F(3, 10))],
      [Channel(2, Distribution.uniform(2), F(3, 10))],
      dict(n=3, k1=2, k2=3)),
-    ("k1-size3", Distribution.point(1),
+    ("k1-size3", Distribution({1: 1}),
      [Channel(1, Distribution.uniform(1), F(1, 5))],
      [Channel(3, Distribution.uniform(3), F(1, 5))],
      dict(n=4, k1=2, k2=3)),

@@ -10,7 +10,7 @@ from dispersal_mc import bisim, models
 from dispersal_mc import (Channel, Distribution, ModelParams,
                           build_composed, lt_linear_profile,
                           uniform_probabilities)
-from dispersal_mc.bisim import (NotBisimulationError, Partition, _verify, bisimilar,
+from dispersal_mc.bisim import (NotBisimulationError, _verify, bisimilar,
                                 coarsest_bisimulation, quotient,
                                 verify_capacity_abstraction,
                                 verify_channel_cutoff, witness_contained)
@@ -44,12 +44,12 @@ class TestCoarsestBisimulation:
     def test_twin_self_loops_share_a_block(self):
         m = make_mdp({0: {"a": {0: 1}}, 1: {"a": {1: 1}}})
         part = coarsest_bisimulation(m)
-        assert part.num_blocks == 1
+        assert len(set(part)) == 1
 
     def test_label_split(self):
         m = make_mdp({0: {"a": {0: 1}}, 1: {"a": {1: 1}}}, labels={1: ("g",)})
         part = coarsest_bisimulation(m)
-        assert part.num_blocks == 2
+        assert len(set(part)) == 2
         assert not same_block(part, 0, 1)
 
     def test_identical_middle_states_merge(self):
@@ -61,7 +61,7 @@ class TestCoarsestBisimulation:
         part = coarsest_bisimulation(m)
         assert same_block(part, 1, 2)
         brute = coarsest_by_bruteforce(m)
-        assert part.num_blocks == len(brute)
+        assert len(set(part)) == len(brute)
 
     def test_matches_bruteforce_on_random_small_models(self):
         rng = random.Random(31)
@@ -69,7 +69,7 @@ class TestCoarsestBisimulation:
             m = random_mdp(rng, max_states=5)
             part = coarsest_bisimulation(m)
             brute = coarsest_by_bruteforce(m)
-            assert part.num_blocks == len(brute)
+            assert len(set(part)) == len(brute)
             brute_id = {}
             for i, block in enumerate(brute):
                 for s in block:
@@ -85,7 +85,7 @@ class TestCoarsestBisimulation:
                       1: {"a": {1: F(1, 2), 2: F(1, 2)}},
                       2: {}},
                      labels={2: ("g",)})
-        assert coarsest_bisimulation(m).block_of == (0, 0, 1)
+        assert coarsest_bisimulation(m) == (0, 0, 1)
         # the pass signs 2, then ends at 1's self-loop; one worklist round follows
         assert signatures == [2, 1, 0, 1, 2]
 
@@ -96,7 +96,7 @@ class TestCoarsestBisimulation:
             m = random_mdp(rng, max_states=(5, 9, 14)[i % 3],
                            props=("g", "h") if i % 2 else ("g",))
             part = coarsest_bisimulation(m)
-            assert part.block_of == first_seen(refine_by_rounds(m))
+            assert part == first_seen(refine_by_rounds(m))
             big_cycles += any(len(c) > 3 for c in sccs(m))
         assert big_cycles >= 50
 
@@ -118,9 +118,9 @@ class TestCoarsestBisimulation:
                 part = coarsest_bisimulation(*models)
             else:
                 res = bisimilar(*models)
-                part = res.partition
+                part = res.block_of
                 assert res.equivalent == (ref[0] == ref[models[0].state_count])
-            assert part.block_of == first_seen(ref)
+            assert part == first_seen(ref)
             forward = all(map(is_forward, models))
             assert forward or i >= 300
             # the pass signs each state once; the worklist signs every state again
@@ -134,14 +134,13 @@ class TestCoarsestBisimulation:
             m = random_mdp(rng, max_states=5)
             part = coarsest_bisimulation(m)
             again = coarsest_bisimulation(quotient(m, part))
-            assert again.num_blocks == len(again.blocks) == part.num_blocks
+            assert len(set(again)) == len(again) == len(set(part))
 
 
 class TestQuotient:
     def test_identity_partition_is_isomorphic(self):
         m = make_mdp({0: {"a": {1: F(1, 2), 0: F(1, 2)}}, 1: {}}, labels={1: ("g",)})
-        part = Partition((0, 1), ((0,), (1,)))
-        q = quotient(m, part)
+        q = quotient(m, (0, 1))
         assert q.state_count == 2
         assert q.choices(0) == [("a", ((0, F(1, 2)), (1, F(1, 2))))]
 
@@ -151,17 +150,34 @@ class TestQuotient:
         assert q.state_count == 1
         assert q.choices(0) == [("a", ((0, F(1)),))]
 
+    def test_refuses_wrong_length_before_signing(self, signatures):
+        m = make_mdp({0: {"a": {1: 1}}, 1: {}}, labels={1: ("g",)})
+        for block_of in ((0,), (0, 1, 1)):
+            with pytest.raises(ValueError, match=f"{len(block_of)} block ids for 2 states"):
+                quotient(m, block_of)
+        assert signatures == []
+
+    def test_block_ids_renumbered_by_first_appearance(self):
+        # states 0 and 2 both step to the goal state 1
+        m = make_mdp({0: {"a": {1: 1}}, 1: {}, 2: {"a": {1: 1}}}, labels={1: ("g",)})
+        q, ref = quotient(m, (7, 3, 7)), quotient(m, (0, 1, 0))
+        assert q.state_count == ref.state_count == 2
+        assert [q.choices(s) for s in range(2)] == [ref.choices(s) for s in range(2)] \
+            == [[("a", ((1, F(1)),))], []]
+        assert q.labels == ref.labels == [frozenset(), frozenset({"g"})]
+        assert solve_reach(q, "g").pmin == 1
+
     def test_refuses_non_bisimulation_with_counterexample(self):
         m = make_mdp({0: {"a": {1: 1}}, 1: {}}, labels={1: ("g",)})
         with pytest.raises(NotBisimulationError) as err:
-            quotient(m, Partition((0, 0), ((0, 1),)))
+            quotient(m, (0, 0))
         assert err.value.counterexample == (0, 1)
 
     def test_refuses_equal_labels_with_different_masses(self):
         # 0 and 1 carry no label, but only 0 moves to the goal block
         m = make_mdp({0: {"a": {2: 1}}, 1: {}, 2: {}}, labels={2: ("g",)})
         with pytest.raises(NotBisimulationError, match="block-level transition masses") as err:
-            quotient(m, Partition((0, 0, 1), ((0, 1), (2,))))
+            quotient(m, (0, 0, 1))
         assert err.value.counterexample == (0, 1)
 
     def test_quotient_preserves_reachability(self):
@@ -196,16 +212,16 @@ class TestBisimilar:
         assert "alphabet" in res.reason
 
     def test_initial_mass_reason_names_smallest_block(self):
-        def model(initial):
-            return make_mdp({}, labels={0: ("g",), 1: ("h",)}, ap=("g", "h"),
-                            initial=initial, num_states=3)
-        res = bisimilar(model({0: F(1, 2), 2: F(1, 2)}), model({1: F(1, 2), 2: F(1, 2)}))
+        # the union's block 0 holds the first initial state, block 1 the second
+        res = bisimilar(make_mdp({}, labels={0: ("g",)}, ap=("g", "h")),
+                        make_mdp({}, labels={0: ("h",)}, ap=("g", "h")))
         assert not res.equivalent
-        assert res.reason == "initial mass differs on block 0: 1/2 vs 0"
+        assert res.block_of == (0, 1)
+        assert res.reason == "initial mass differs on block 0: 1 vs 0"
 
     def test_bisimilar_models_share_probabilities(self):
         # one channel of three servers vs its single-server reference
-        f = Distribution.point(1)
+        f = Distribution({1: 1})
         small = [Channel(1, Distribution.uniform(1), F(3, 10))]
         big = [Channel(3, Distribution.uniform(3), F(3, 10))]
         report = verify_channel_cutoff(f, small, big, n=3, k1=2, k2=3)
@@ -238,7 +254,7 @@ class TestChannelCutoff:
         assert not report.bisimilar
 
     def test_degenerate_single_server_channel(self):
-        f = Distribution.point(1)
+        f = Distribution({1: 1})
         one = [Channel(1, Distribution.uniform(1), F(1, 2))]
         report = verify_channel_cutoff(f, one, list(one), n=2, k1=1, k2=2,
                                        x=(F(1, 2), F(1)))
@@ -264,7 +280,7 @@ class TestChannelCutoff:
     ], ids=["unequal-lengths", "grouped-reference", "capacity-below-n"])
     def test_malformed_instance_refused(self, small, big, c, error):
         with pytest.raises((ParameterError, AbstractionPreconditionError), match=error):
-            verify_channel_cutoff(Distribution.point(1), small, big, n=3, k1=2, k2=3, c=c)
+            verify_channel_cutoff(Distribution({1: 1}), small, big, n=3, k1=2, k2=3, c=c)
 
     def test_nonuniform_group_routing(self):
         f = Distribution({1: F(1, 3), 2: F(2, 3)})
@@ -361,7 +377,7 @@ class TestRoundReference:
         res = bisimilar(m1, m2)
         ref = refine_by_rounds(m1, m2)
         assert res.equivalent
-        assert res.partition.block_of == first_seen(ref)
+        assert res.block_of == first_seen(ref)
         assert res.blocks == len(set(ref)) == blocks
         # both models are forward, so the pass signs each state once
         assert sorted(signatures) == list(range(m1.state_count + m2.state_count))
@@ -369,7 +385,7 @@ class TestRoundReference:
 
 class TestWitnessContainment:
     def test_detects_block_splits(self):
-        part = Partition((0, 1, 0), ((0, 2), (1,)))
+        part = (0, 1, 0)
         ok, pair = witness_contained(part, ["k", "k", "k"])
         assert not ok and pair == (0, 1)
         ok, pair = witness_contained(part, ["k", "j", "k"])

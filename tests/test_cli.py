@@ -358,26 +358,28 @@ class TestCli:
         assert out_path.read_text() == "kept\n"
 
     def test_sweep_timing_changes_only_wall_ms(self, tmp_path):
-        # --timing and "timing": true give every row a positive wall_ms and
-        # leave every other column as an untimed run writes it
+        # --timing gives every row a positive wall_ms and leaves every other
+        # column as an untimed run writes it; the spec has no "timing" field
         doc = dict(SWEEP, n_from=2, n_to=4, n_step=1)
         tables = {}
-        for name, spec, flags in (("untimed", doc, []), ("flag", doc, ["--timing"]),
-                                  ("field", dict(doc, timing=True), [])):
+        for name, spec, flags, exit_code in (("untimed", doc, [], 0),
+                                             ("flag", doc, ["--timing"], 0),
+                                             ("field", dict(doc, timing=True), [], 2)):
             out_path = tmp_path / f"{name}.csv"
             code, _ = run(["sweep", "--spec", str(write_json(tmp_path, f"{name}.json", spec)),
                            "--out", str(out_path), *flags])
-            assert code == 0
-            tables[name] = [line.split(",") for line in out_path.read_text().splitlines()]
+            assert code == exit_code
+            if code == 0:
+                tables[name] = [line.split(",") for line in out_path.read_text().splitlines()]
+        assert not (tmp_path / "field.csv").exists()
         header, *untimed = tables["untimed"]
         column = header.index("wall_ms")
         assert len(untimed) == 3 and {row[column] for row in untimed} == {"0"}
-        for name in ("flag", "field"):
-            assert tables[name][0] == header
-            rows = tables[name][1:]
-            assert all(float(row[column]) > 0 for row in rows)
-            assert [row[:column] + row[column + 1:] for row in rows] == \
-                [row[:column] + row[column + 1:] for row in untimed]
+        assert tables["flag"][0] == header
+        rows = tables["flag"][1:]
+        assert all(float(row[column]) > 0 for row in rows)
+        assert [row[:column] + row[column + 1:] for row in rows] == \
+            [row[:column] + row[column + 1:] for row in untimed]
 
     def test_failed_verify_text_report_prints_counterexample(self, tmp_path, monkeypatch):
         # bisimilar sides, but a witness that relates every state to every other

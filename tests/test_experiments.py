@@ -50,12 +50,13 @@ class TestOracle:
             assert value == exact_reach(model, HACKED, "min")
             assert value == exact_reach(model, HACKED, "max")
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ORACLE_CAP", 100)
         params = ModelParams(n=6, m=3, c=2, k1=3, k2=4,
                              a=(F(1, 2),) * 3, x=lt_linear_profile(3, 4, 6),
                              p=uniform_probabilities(3))
         with pytest.raises(OracleCapError, match="189 keys"):  # 3^3 counts x 7 held
-            enumerate_oracle(params, "slice", cap=100)
+            enumerate_oracle(params, "slice")
 
     def test_tight_capacity_past_the_tree_size(self):
         # 6^12 outcome-tree nodes; the memo keys are (counts, held)

@@ -41,10 +41,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution({0: Fraction(-1, 2)})
 
-    def test_remap_merges(self):
-        d = Distribution({0: Fraction(1, 3), 1: Fraction(2, 3)})
-        assert d.remap(lambda _: 5) == Distribution.point(5)
-
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6))
     def test_rational_normalization_sums_to_one(self, dens):
         # normalizing any positive weight vector gives total exactly 1
@@ -97,13 +93,6 @@ class TestValidate:
         problems = validate(m)
         assert len(problems) == 1
         assert "1/2" in problems[0] and "action 'a'" in problems[0]
-
-    def test_initial_submass_flagged(self):
-        m = make_mdp({0: {}, 1: {}},
-                     initial={0: Fraction(1, 2), 1: Fraction(1, 3)})
-        problems = validate(m)
-        assert len(problems) == 1
-        assert "5/6" in problems[0] and "initial" in problems[0]
 
     def test_dangling_target_flagged(self):
         m = make_mdp({0: {"a": {3: 1}}}, num_states=2)

@@ -101,7 +101,7 @@ class TestProfiles:
 
 class TestChannels:
     def test_single_channel_single_server(self):
-        p, a = expand_channels(Distribution.point(1),
+        p, a = expand_channels(Distribution({1: 1}),
                                [Channel(1, Distribution.uniform(1), F(3, 10))])
         assert p == (F(1),)
         assert a == (F(3, 10),)
@@ -115,7 +115,7 @@ class TestChannels:
         assert a == (F(1, 10), F(1, 10), F(2, 5))
 
     def test_support_mismatch_rejected(self):
-        f = Distribution.point(1)
+        f = Distribution({1: 1})
         channels = [Channel(1, Distribution.uniform(1), F(1, 2)),
                     Channel(1, Distribution.uniform(1), F(1, 2))]
         with pytest.raises(ParameterError):
