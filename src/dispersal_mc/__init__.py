@@ -10,9 +10,8 @@ from .mdp import (Branch, CompositionError, Distribution, ExplorationError, Mdp,
                   compose_templates, expand)
 from .models import (HACKED, AbstractionPreconditionError, Channel, ModelParams,
                      ParameterError, build_client, build_composed,
-                     build_provider_attacker,
-                     build_slice_attacker, expand_channels, lt_linear_profile,
-                     round_half_up, rs_profile, uniform_probabilities)
+                     build_provider_attacker, build_slice_attacker, expand_channels,
+                     lt_linear_profile, round_half_up, rs_profile)
 
 __all__ = [
     "Branch", "CompositionError", "Distribution", "ExplorationError", "Mdp",
@@ -21,5 +20,5 @@ __all__ = [
     "HACKED", "AbstractionPreconditionError", "Channel", "ModelParams",
     "ParameterError", "build_client", "build_composed",
     "build_provider_attacker", "build_slice_attacker", "expand_channels",
-    "lt_linear_profile", "round_half_up", "rs_profile", "uniform_probabilities",
+    "lt_linear_profile", "round_half_up", "rs_profile",
 ]

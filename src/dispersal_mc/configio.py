@@ -98,7 +98,8 @@ def _refuse_unread(doc: dict, read, what: str) -> None:
 
 
 def parse_channels(doc: dict) -> tuple[Distribution, list[Channel]]:
-    """Read the ``channels`` list and the channel-choice distribution ``f``."""
+    """Read the ``channels`` list and the channel-choice distribution ``f``;
+    each routing list gives one mass per outcome and is uniform when absent."""
     raw = doc["channels"]
     if not isinstance(raw, list) or not raw:
         raise ConfigError("field 'channels': expected a non-empty list")
@@ -109,27 +110,18 @@ def parse_channels(doc: dict) -> tuple[Distribution, list[Channel]]:
         _refuse_unread(entry, ("size", "g", "a"), f"'channels'[{pos}] entry")
         try:
             size = _int(entry, "size")
-            if "g" in entry:
-                g = Distribution(enumerate(_probability_list(entry, "g"), start=1))
-            else:
-                g = Distribution.uniform(size)
+            g = _probability_list(entry, "g") if "g" in entry else Distribution.uniform(size)
             channels.append(Channel(size, g, parse_probability(entry["a"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"field 'channels'[{pos}]: {exc}") from exc
-    if "f" in doc:
-        f = Distribution(enumerate(_probability_list(doc, "f"), start=1))
-    else:
-        f = Distribution.uniform(len(channels))
-    return f, channels
-
-
-def _channel_vectors(doc: dict) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Per-server routing and attack vectors ``(p, a)`` of the ``channels`` list."""
-    f, channels = parse_channels(doc)
+    f = _probability_list(doc, "f") if "f" in doc else Distribution.uniform(len(channels))
+    if len(f) != len(channels):
+        raise ConfigError(f"field 'f': expected {len(channels)} probabilities, "
+                          f"one per channel, got {len(f)}")
     try:
-        return expand_channels(f, channels)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+        return Distribution(f), channels
+    except ValueError as exc:
+        raise ConfigError(f"field 'f': {exc}") from exc
 
 
 def channel_cutoff_from_dict(doc: dict) -> tuple[Distribution, list[Channel], dict]:
@@ -147,7 +139,7 @@ def model_params_from_dict(doc: dict) -> ModelParams:
     profile = _read(doc, ("profile",)).get("profile", "explicit")
     fields = _read(doc, ("n", "m", "c", *_PROFILE_FIELDS.get(profile, ())))
     if "channels" in doc:
-        fields["p"], fields["a"] = _channel_vectors(doc)
+        fields["p"], fields["a"] = expand_channels(*parse_channels(doc))
         m = len(fields["p"])
         if fields.setdefault("m", m) != m:
             raise ConfigError(f"field 'm': {doc['m']} conflicts with {m} channel servers")
@@ -175,7 +167,7 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
     solver = doc.get("solver", "vi")
     if "channels" in doc:
         routing = ("channels", "f")
-        p, a = _channel_vectors(doc)
+        p, a = expand_channels(*parse_channels(doc))
         vectors = {"m": len(p), "a": a, "p": p}
     else:
         routing = ("m", "p", "a" if "a" in doc else "a_interval")

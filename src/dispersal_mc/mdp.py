@@ -34,62 +34,30 @@ class ExplorationError(ModelError):
     """State-space exploration left a declared variable range."""
 
 
-class Distribution:
-    """Finitely supported probability mass over integer-indexed outcomes.
+class Distribution(tuple):
+    """Exact probability masses over outcomes 1..k: entry i - 1 is outcome i's.
 
-    Masses are exact rationals; zero entries are dropped and repeated
-    outcomes merged. It is left for channel routing. The total is not forced
-    to 1 at construction so that diagnostics can inspect broken
-    distributions; use :meth:`is_probability` where it matters. Masses are
-    read through :meth:`items`, sorted by outcome.
+    Zeros are kept in place; a negative mass or a total other than 1 is
+    refused. It is left for channel routing (``models.Channel``).
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
-    def __init__(self, masses):
-        pairs = masses.items() if isinstance(masses, Mapping) else masses
-        acc: dict[int, Fraction] = {}
-        for key, mass in pairs:
-            mass = mass if isinstance(mass, Fraction) else Fraction(mass)
-            if mass.numerator < 0:
-                raise ValueError(f"negative mass {mass} for outcome {key}")
-            if not mass.numerator:
-                continue
-            acc[key] = acc[key] + mass if key in acc else mass
-        self._items = tuple(sorted(acc.items()))
+    def __new__(cls, masses):
+        masses = tuple(m if isinstance(m, Fraction) else Fraction(m) for m in masses)
+        if any(mass < 0 for mass in masses):
+            raise ValueError(f"negative mass {min(masses)}")
+        total = sum(masses, Fraction(0))
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        return super().__new__(cls, masses)
 
     @classmethod
     def uniform(cls, m: int) -> "Distribution":
         """The uniform distribution over outcomes 1..m."""
         if m < 1:
             raise ValueError("uniform distribution needs at least one outcome")
-        share = Fraction(1, m)
-        return cls({i: share for i in range(1, m + 1)})
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self._items)
-
-    def items(self):
-        return self._items
-
-    def total(self) -> Fraction:
-        return sum((m for _, m in self._items), Fraction(0))
-
-    def is_probability(self) -> bool:
-        return self.total() == 1
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Distribution):
-            return self._items == other._items
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {m}" for k, m in self._items)
-        return f"Distribution({{{body}}})"
+        return cls((Fraction(1, m),) * m)
 
 
 @dataclass(frozen=True)
@@ -298,17 +266,17 @@ class Mdp:
     choice ``c`` is labelled ``actions[choice_action[c]]`` and owns the edges
     ``first_edge[c]`` up to ``first_edge[c + 1]``, and edge ``e`` goes to
     ``targets[e]`` with the exact mass ``weights[weight_ids[e]]``. Within a
-    choice, targets strictly increase. State 0 is the initial state. Instances
+    choice, targets strictly increase. State 0 is initial. ``labels[s]`` (state
+    ``s``'s propositions) and ``ap`` (the model's) are frozensets, kept as given. Instances
     are treated as immutable once built; any number of concurrent readers is safe.
     """
 
     __slots__ = ("variables", "ranges", "codes", "labels", "ap", "actions", "weights",
                  "first_choice", "choice_action", "first_edge", "targets", "weight_ids")
 
-    def __init__(self, variables, ranges, codes, labels, rows: MdpBuilder, ap=None):
+    def __init__(self, variables, ranges, codes, labels, rows: MdpBuilder, ap):
         self.variables, self.ranges, self.codes = tuple(variables), tuple(ranges), codes
-        self.labels = [frozenset(lab) for lab in labels]
-        self.ap = frozenset(ap) if ap is not None else frozenset().union(*self.labels)
+        self.labels, self.ap = labels, ap
         self.actions, self.weights = tuple(rows.actions), tuple(rows.weights)
         self.first_choice, self.choice_action, self.first_edge = (
             rows.first_choice, rows.choice_action, rows.first_edge)
@@ -409,16 +377,14 @@ def expand(module: TemplateModule) -> Mdp:
     @functools.cache
     def step(p, add, k, i):
         """An update atom ``(p, add, k)`` applied in interval ``i`` of position ``p``
-        (any, if untested): ``(code delta, class delta, sets, shifts)``, or the
-        exception, as a function of the code, that ends expansion."""
+        (any, if untested): ``(code delta, class delta, sets, shifts)``, or None
+        if the write leaves the range."""
         (low, high), j = ranges[p], slot.get(p)
         cl = () if j is None else cut_lists[j]
         lo, hi = max(low, cl[i - 1]) if i else low, min(high, cl[i] - 1) if i < len(cl) else high
         new = (lo + k, hi + k) if add else (k, k)
         if not low <= new[0] <= high:
-            return lambda code: ExplorationError(
-                f"variable {names[p]!r} left its range [{low}, {high}] with value "
-                f"{code // place[p] % (high - low + 1) + low + k if add else k}")
+            return None
         delta = (new[0] - lo) * place[p] if lo == hi or add else 0
         sets = () if lo == hi or add else ((place[p], high - low + 1, k - low),)
         if j is None:
@@ -428,41 +394,38 @@ def expand(module: TemplateModule) -> Mdp:
             return delta, (to - i) * scale[j], sets, ()
         return delta, -i * scale[j], sets, ((place[p], high - low + 1, low, cl, scale[j]),)
 
-    def classify(cid):
-        """Class ``cid``'s label, its choices ``(action id, branches)`` and
-        the exception, as a function of the code, that ends expansion in it (or None)."""
+    def classify(cid, code):
+        """Class ``cid``'s label and choices ``(action id, branches)``; a template
+        fault raises, naming ``code``, the class's first state."""
         key = [cid // r % (len(cl) + 1) for r, cl in zip(scale, cut_lists)]
         bits, at = -1, dict(zip(tested, key))
         for i, row in zip(key, masks):
             bits &= row[i]
-        choices, seen, fail = [], set(), None
+        choices, seen = [], set()
         for b, (action, _, branches) in enumerate(compiled):
             if not bits >> b & 1:
                 continue
             if action in seen:
-                fail = lambda code: ModelError(f"module {module.name}: two templates for action "
-                                               f"{action!r} enabled in state {decode(code, ranges)}")
-                break
+                raise ModelError(f"module {module.name}: two templates for action "
+                                 f"{action!r} enabled in state {decode(code, ranges)}")
             seen.add(action)
             plan = []
             for wid, update in branches:
                 delta, cdelta, sets, shifts = 0, 0, (), ()
                 for p, add, k in update:
                     part = step(p, add, k, at.get(p, 0))
-                    if callable(part):
-                        fail = part
-                        break
+                    if part is None:
+                        low, high = ranges[p]
+                        raise ExplorationError(
+                            f"variable {names[p]!r} left its range [{low}, {high}] with value "
+                            f"{code // place[p] % (high - low + 1) + low + k if add else k}")
                     delta, cdelta, sets, shifts = (delta + part[0], cdelta + part[1],
                                                    sets + part[2], shifts + part[3])
-                if fail:
-                    break
                 plan.append((delta, wid, cdelta, sets, shifts))
             choices.append((rows._intern(rows.actions, action), plan))
-            if fail:
-                break
         bits >>= len(compiled)
         return frozenset(prop for b, (prop, _) in enumerate(label_tests)
-                         if bits >> b & 1), choices, fail
+                         if bits >> b & 1), choices
 
     cap, codes = STATE_CAP, [sum((d.init - d.low) * r for d, r in zip(module.variables, place))]
     index, labels, memo = {codes[0]: 0}, [], {}
@@ -474,8 +437,8 @@ def expand(module: TemplateModule) -> Mdp:
         cid = pop()
         hit = memo.get(cid)
         if hit is None:
-            hit = memo[cid] = classify(cid)
-        label, choices, fail = hit
+            hit = memo[cid] = classify(cid, code)
+        label, choices = hit
         labels.append(label)
         for aid, branches in choices:
             pairs = []
@@ -495,11 +458,9 @@ def expand(module: TemplateModule) -> Mdp:
                     push(cid + cdelta)
                 pairs.append((j, wid))
             add(aid, pairs)
-        if fail:
-            raise fail(code)
         fc.append(len(ca))
     del index, get, memo  # free the discovery maps before the model is built
-    return Mdp(names, ranges, codes, labels, rows, ap=module.labels.keys())
+    return Mdp(names, ranges, codes, labels, rows, ap=frozenset(module.labels))
 
 
 def compose_templates(left: TemplateModule, right: TemplateModule,

@@ -112,20 +112,21 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Channel:
-    """A group of interchangeable servers: size, in-group routing, attack probability."""
+    """A group of interchangeable servers: its size, in-group routing ``g``
+    (server ``j``'s mass is ``g[j-1]``) and attack probability."""
 
     size: int
     g: Distribution
     a: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "g", Distribution(self.g))
         object.__setattr__(self, "a", _frac(self.a))
         if self.size < 1:
             raise ParameterError("channel size must be >= 1")
-        if not self.g.is_probability():
-            raise ParameterError(f"channel routing distribution sums to {self.g.total()}, not 1")
-        if set(self.g.support) - set(range(1, self.size + 1)):
-            raise ParameterError("channel routing distribution indexes outside 1..size")
+        if len(self.g) != self.size:
+            raise ParameterError(f"channel routing distribution has {len(self.g)} masses "
+                                 f"for {self.size} servers")
         if not 0 <= self.a <= 1:
             raise ParameterError("channel attack probability outside [0, 1]")
 
@@ -133,30 +134,14 @@ class Channel:
 def expand_channels(f: Distribution, channels: Sequence[Channel]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Flatten channel-level routing into per-server routing and attack vectors.
 
-    Server ``j`` of channel ``i`` is picked with probability ``f(i) * g_i(j)``
+    Server ``j`` of channel ``i`` is picked with probability ``f[i-1] * g_i[j-1]``
     and attacked with the channel's probability.
     """
-    if not f.is_probability():
-        raise ParameterError(f"channel-choice distribution sums to {f.total()}, not 1")
-    if len(f.support) != len(channels):
-        raise ParameterError(
-            f"channel-choice distribution has {len(f.support)} outcomes "
-            f"but {len(channels)} channels were given")
-    if set(f.support) != set(range(1, len(channels) + 1)):
-        raise ParameterError("channel-choice distribution must index channels 1..k")
-    p: list[Fraction] = []
-    a: list[Fraction] = []
-    for (_, fi), ch in zip(f.items(), channels):
-        g = dict(ch.g.items())
-        for j in range(1, ch.size + 1):
-            p.append(fi * g.get(j, Fraction(0)))
-            a.append(ch.a)
-    return tuple(p), tuple(a)
-
-
-def uniform_probabilities(m: int) -> tuple[Fraction, ...]:
-    """m equal routing shares (the uniform pick distribution as a tuple)."""
-    return tuple(Fraction(1, m) for _ in range(m))
+    if len(f) != len(channels):
+        raise ParameterError(f"channel-choice distribution has {len(f)} masses "
+                             f"but {len(channels)} channels were given")
+    return (tuple(fi * gj for fi, ch in zip(f, channels) for gj in ch.g),
+            tuple(ch.a for ch in channels for _ in range(ch.size)))
 
 
 def round_half_up(value: Fraction) -> int:
@@ -226,8 +211,9 @@ def make_params(profile: str, n: int, m: int, a, *, p=None, c=None,
     """The parameter vector of n slices over m servers with the thresholds of
     ``thresholds``; capacity defaults to n (it never binds), routing to uniform."""
     k1, k2, x = thresholds(profile, n, **threshold_fields)
-    return ModelParams(n=n, m=m, c=n if c is None else c, k1=k1, k2=k2, a=a, x=x,
-                       p=uniform_probabilities(m) if p is None else p)
+    if p is None:  # m < 1 is left for ModelParams to refuse
+        p = Distribution.uniform(m) if m >= 1 else ()
+    return ModelParams(n=n, m=m, c=n if c is None else c, k1=k1, k2=k2, a=a, x=x, p=p)
 
 
 def build_client(params: ModelParams, *, reduced: bool = False) -> TemplateModule:

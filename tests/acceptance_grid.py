@@ -9,8 +9,7 @@ routing, and the degenerate attack probabilities 0 and 1.
 
 from fractions import Fraction as F
 
-from dispersal_mc import (ModelParams, lt_linear_profile, rs_profile,
-                          uniform_probabilities)
+from dispersal_mc import Distribution, ModelParams, lt_linear_profile, rs_profile
 
 # (n, m) -> two-threshold pair with k1 < k2 where possible
 _LT_THRESHOLDS = {2: (1, 2), 3: (2, 3), 4: (2, 3), 5: (3, 4), 6: (4, 5)}
@@ -40,7 +39,7 @@ def build_grid():
         for m in (1, 2, 3):
             a = _A_PATTERNS[m][index % len(_A_PATTERNS[m])]
             skew = index % 3 == 2 and m > 1
-            p = _SKEWED_P[m] if skew else uniform_probabilities(m)
+            p = _SKEWED_P[m] if skew else Distribution.uniform(m)
             # tight capacity exercises the re-pick semantics; unbounded does not
             c = _tight_capacity(n, m) if index % 2 == 0 else n
             if skew and c < n:
@@ -59,9 +58,9 @@ def build_grid():
             index += 1
     # degenerate interception probabilities
     zero = ModelParams(n=3, m=2, c=3, k1=2, k2=3, a=(F(0), F(0)),
-                       x=lt_linear_profile(2, 3, 3), p=uniform_probabilities(2))
+                       x=lt_linear_profile(2, 3, 3), p=Distribution.uniform(2))
     one = ModelParams(n=3, m=2, c=3, k1=2, k2=3, a=(F(1), F(1)),
-                      x=lt_linear_profile(2, 3, 3), p=uniform_probabilities(2))
+                      x=lt_linear_profile(2, 3, 3), p=Distribution.uniform(2))
     for attacker in ("slice", "provider"):
         configs.append((f"zero-attack-{attacker}", zero, attacker))
         configs.append((f"certain-attack-{attacker}", one, attacker))

@@ -38,6 +38,7 @@ def make_mdp(transitions, labels=None, ap=None, num_states=None):
         rows.add_state([(action, [(t, rows.weight_id(Fraction(w))) for t, w in dist.items()])
                         for action, dist in transitions.get(s, {}).items()])
     labs = [frozenset(labels.get(s, ())) if labels else frozenset() for s in range(n)]
+    ap = frozenset(ap) if ap is not None else frozenset().union(*labs)
     return Mdp(("s",), ((0, n - 1),), list(range(n)), labs, rows, ap=ap)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from dispersal_mc import (Channel, Distribution, ModelParams, build_composed,
-                          lt_linear_profile, uniform_probabilities)
+                          lt_linear_profile)
 from dispersal_mc.bisim import (coarsest_bisimulation, quotient,
                                 verify_capacity_abstraction,
                                 verify_channel_cutoff)
@@ -60,7 +60,7 @@ def test_criterion_2_hand_derivable_anchors():
     slice_params = ModelParams(n=2, m=1, c=2, k1=1, k2=1, a=(F(1, 2),),
                                x=(F(1), F(1)), p=(F(1),))
     provider_params = ModelParams(n=2, m=2, c=2, k1=2, k2=2, a=(F(1, 2), F(1, 2)),
-                                  x=(F(1),), p=uniform_probabilities(2))
+                                  x=(F(1),), p=Distribution.uniform(2))
     s = enumerate_oracle(slice_params, "slice")
     p = enumerate_oracle(provider_params, "provider")
     s_model = build_composed(slice_params, "slice")
@@ -96,11 +96,11 @@ def test_criterion_3_extremes_coincide():
 
 
 CUTOFF_GRID = [
-    ("k1-size2", Distribution({1: 1}),
+    ("k1-size2", Distribution((1,)),
      [Channel(1, Distribution.uniform(1), F(3, 10))],
      [Channel(2, Distribution.uniform(2), F(3, 10))],
      dict(n=3, k1=2, k2=3)),
-    ("k1-size3", Distribution({1: 1}),
+    ("k1-size3", Distribution((1,)),
      [Channel(1, Distribution.uniform(1), F(1, 5))],
      [Channel(3, Distribution.uniform(3), F(1, 5))],
      dict(n=4, k1=2, k2=3)),
@@ -110,11 +110,11 @@ CUTOFF_GRID = [
      [Channel(2, Distribution.uniform(2), F(1, 10)),
       Channel(3, Distribution.uniform(3), F(3, 10))],
      dict(n=4, k1=2, k2=3)),
-    ("k2-sizes13-n5", Distribution({1: F(1, 3), 2: F(2, 3)}),
+    ("k2-sizes13-n5", Distribution((F(1, 3), F(2, 3))),
      [Channel(1, Distribution.uniform(1), F(1, 4)),
       Channel(1, Distribution.uniform(1), F(1, 2))],
      [Channel(1, Distribution.uniform(1), F(1, 4)),
-      Channel(3, Distribution({1: F(1, 2), 2: F(1, 4), 3: F(1, 4)}), F(1, 2))],
+      Channel(3, Distribution((F(1, 2), F(1, 4), F(1, 4))), F(1, 2))],
      dict(n=5, k1=3, k2=4)),
     ("k3-sizes123", Distribution.uniform(3),
      [Channel(1, Distribution.uniform(1), F(1, 10)),
@@ -170,13 +170,13 @@ def test_criterion_5_capacity_abstraction():
         ModelParams(n=2, m=1, c=2, k1=1, k2=2, a=(F(2, 5),),
                     x=lt_linear_profile(1, 2, 2), p=(F(1),)),
         ModelParams(n=3, m=2, c=3, k1=2, k2=3, a=(F(1, 10), F(1, 5)),
-                    x=lt_linear_profile(2, 3, 3), p=uniform_probabilities(2)),
+                    x=lt_linear_profile(2, 3, 3), p=Distribution.uniform(2)),
         ModelParams(n=4, m=2, c=5, k1=3, k2=3, a=(F(1, 2), F(1, 4)),
                     x=(F(1), F(1)), p=(F(5, 8), F(3, 8))),
         ModelParams(n=4, m=3, c=4, k1=2, k2=3, a=(F(1, 10), F(1, 5), F(3, 10)),
-                    x=lt_linear_profile(2, 3, 4), p=uniform_probabilities(3)),
+                    x=lt_linear_profile(2, 3, 4), p=Distribution.uniform(3)),
         ModelParams(n=5, m=3, c=5, k1=3, k2=4, a=(F(1, 4), F(1, 4), F(1, 4)),
-                    x=lt_linear_profile(3, 4, 5), p=uniform_probabilities(3)),
+                    x=lt_linear_profile(3, 4, 5), p=Distribution.uniform(3)),
     ]
     worst = 0.0
     for params in cases:
@@ -186,7 +186,7 @@ def test_criterion_5_capacity_abstraction():
                     abs(rep.probes["full"]["pmin"] - rep.probes["reduced"]["pmin"]),
                     abs(rep.probes["full"]["pmax"] - rep.probes["reduced"]["pmax"]))
     refused = ModelParams(n=3, m=2, c=2, k1=2, k2=3, a=(F(1, 10), F(1, 5)),
-                          x=lt_linear_profile(2, 3, 3), p=uniform_probabilities(2))
+                          x=lt_linear_profile(2, 3, 3), p=Distribution.uniform(2))
     with pytest.raises(AbstractionPreconditionError):
         verify_capacity_abstraction(refused)
     report(5, worst <= 1e-9,

@@ -8,8 +8,7 @@ import pytest
 
 from dispersal_mc import bisim, models
 from dispersal_mc import (Channel, Distribution, ModelParams,
-                          build_composed, lt_linear_profile,
-                          uniform_probabilities)
+                          build_composed, lt_linear_profile)
 from dispersal_mc.bisim import (NotBisimulationError, _verify, bisimilar,
                                 coarsest_bisimulation, quotient,
                                 verify_capacity_abstraction,
@@ -221,7 +220,7 @@ class TestBisimilar:
 
     def test_bisimilar_models_share_probabilities(self):
         # one channel of three servers vs its single-server reference
-        f = Distribution({1: 1})
+        f = Distribution((1,))
         small = [Channel(1, Distribution.uniform(1), F(3, 10))]
         big = [Channel(3, Distribution.uniform(3), F(3, 10))]
         report = verify_channel_cutoff(f, small, big, n=3, k1=2, k2=3)
@@ -254,7 +253,7 @@ class TestChannelCutoff:
         assert not report.bisimilar
 
     def test_degenerate_single_server_channel(self):
-        f = Distribution({1: 1})
+        f = Distribution((1,))
         one = [Channel(1, Distribution.uniform(1), F(1, 2))]
         report = verify_channel_cutoff(f, one, list(one), n=2, k1=1, k2=2,
                                        x=(F(1, 2), F(1)))
@@ -280,14 +279,14 @@ class TestChannelCutoff:
     ], ids=["unequal-lengths", "grouped-reference", "capacity-below-n"])
     def test_malformed_instance_refused(self, small, big, c, error):
         with pytest.raises((ParameterError, AbstractionPreconditionError), match=error):
-            verify_channel_cutoff(Distribution({1: 1}), small, big, n=3, k1=2, k2=3, c=c)
+            verify_channel_cutoff(Distribution((1,)), small, big, n=3, k1=2, k2=3, c=c)
 
     def test_nonuniform_group_routing(self):
-        f = Distribution({1: F(1, 3), 2: F(2, 3)})
+        f = Distribution((F(1, 3), F(2, 3)))
         small = [Channel(1, Distribution.uniform(1), F(1, 5)),
                  Channel(1, Distribution.uniform(1), F(1, 4))]
-        big = [Channel(2, Distribution({1: F(1, 4), 2: F(3, 4)}), F(1, 5)),
-               Channel(2, Distribution({1: F(2, 5), 2: F(3, 5)}), F(1, 4))]
+        big = [Channel(2, Distribution((F(1, 4), F(3, 4))), F(1, 5)),
+               Channel(2, Distribution((F(2, 5), F(3, 5))), F(1, 4))]
         report = verify_channel_cutoff(f, small, big, n=3, k1=2, k2=3)
         assert report.equivalent
 
@@ -297,7 +296,7 @@ class TestCapacityAbstraction:
         params = ModelParams(n=3, m=2, c=3, k1=2, k2=3,
                              a=(F(1, 10), F(1, 5)),
                              x=lt_linear_profile(2, 3, 3),
-                             p=uniform_probabilities(2))
+                             p=Distribution.uniform(2))
         report = verify_capacity_abstraction(params)
         assert report.equivalent
         assert report.states[1] < report.states[0]
@@ -308,7 +307,7 @@ class TestCapacityAbstraction:
         params = ModelParams(n=3, m=2, c=2, k1=2, k2=3,
                              a=(F(1, 10), F(1, 5)),
                              x=lt_linear_profile(2, 3, 3),
-                             p=uniform_probabilities(2))
+                             p=Distribution.uniform(2))
 
         def expand(product):
             raise AssertionError("expanded a side before refusing c < n")
@@ -320,7 +319,7 @@ class TestCapacityAbstraction:
     def test_sweep_size_instance_verified(self):
         params = ModelParams(n=20, m=3, c=20, k1=12, k2=16, a=A3,
                              x=lt_linear_profile(12, 16, 20),
-                             p=uniform_probabilities(3))
+                             p=Distribution.uniform(3))
         report = verify_capacity_abstraction(params)
         assert report.equivalent
         assert report.states == (57_228, 5_788)
@@ -337,7 +336,7 @@ class TestCapacityAbstraction:
         # c >= n; decide the slice-attacker case explicitly here
         for params in (
             ModelParams(n=3, m=2, c=3, k1=2, k2=3, a=(F(1, 10), F(1, 5)),
-                        x=lt_linear_profile(2, 3, 3), p=uniform_probabilities(2)),
+                        x=lt_linear_profile(2, 3, 3), p=Distribution.uniform(2)),
             ModelParams(n=4, m=3, c=5, k1=2, k2=3, a=(F(1, 4), F(1, 2), F(3, 4)),
                         x=lt_linear_profile(2, 3, 4), p=(F(1, 2), F(1, 4), F(1, 4))),
         ):
@@ -356,7 +355,7 @@ class TestRoundReference:
     def test_capacity_union(self, signatures):
         params = ModelParams(n=14, m=3, c=14, k1=8, k2=11, a=A3,
                              x=lt_linear_profile(8, 11, 14),
-                             p=uniform_probabilities(3))
+                             p=Distribution.uniform(3))
         full = build_composed(params, "provider", reduced=False)
         reduced = build_composed(params, "provider", reduced=True)
         self._check(full, reduced, 377, signatures)

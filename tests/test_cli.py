@@ -46,6 +46,15 @@ def write_json(tmp_path, name, doc):
     return path
 
 
+def load_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -164,7 +173,11 @@ class TestConfigParsing:
         ({"channels": [{"size": 2, "g": ["1/4", "3/4"], "a": "0.1"}, {"size": 1, "a": "0.4"}],
           "f": ["1/3", "2/3"]}, {"profile": "lt-linear", "k1": 6, "k2": 8},
          {"profile": "lt-linear", "k1_ratio": "0.6", "k2_ratio": "0.8"}),
-    ], ids=["rs-default-ratio", "rs-ratio", "lt-linear", "explicit", "channels"])
+        ({"channels": [{"size": 2, "a": "0.1"}, {"size": 3, "g": ["0", "1", "0"], "a": "0.4"}],
+          "f": ["0", "1"]}, {"profile": "lt-linear", "k1": 6, "k2": 8},
+         {"profile": "lt-linear", "k1_ratio": "0.6", "k2_ratio": "0.8"}),
+    ], ids=["rs-default-ratio", "rs-ratio", "lt-linear", "explicit", "channels",
+            "channels-zero-masses"])
     def test_model_config_and_sweep_point_agree(self, shared, config, sweep):
         # the same point read by both loaders must give the same parameter vector
         params = model_params_from_dict({"n": 10, **shared, **config})
@@ -319,6 +332,47 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
 
+    @pytest.mark.parametrize("command", ["check", "sweep", "verify-thm2"])
+    @pytest.mark.parametrize("routing, message", [
+        ({"f": ["1/2", "1/4"]}, "field 'f': probabilities sum to 3/4, not 1"),
+        ({"f": ["1"]}, "field 'f': expected 2 probabilities, one per channel, got 1"),
+        ({"f": ["1/2", "1/4", "1/4"]}, "field 'f': expected 2 probabilities"),
+        ({"channels": [{"size": 2, "g": ["1"], "a": "0.1"}, {"size": 1, "a": "0.3"}]},
+         "field 'channels'[1]: channel routing distribution has 1 masses for 2 servers"),
+        ({"channels": [{"size": 2, "g": ["1/2", "1/4"], "a": "0.1"}, {"size": 1, "a": "0.3"}]},
+         "field 'channels'[1]: probabilities sum to 3/4, not 1"),
+    ], ids=["f-sum", "f-short", "f-long", "g-short", "g-sum"])
+    def test_channel_routing_fault_exit_two(self, tmp_path, capsys, command, routing, message):
+        # f and g give one mass per outcome, summing to 1, and the loader of
+        # every command refuses another list (a short g ran with exit 0, and
+        # verify-thm2 refused a bad f with exit 1)
+        doc = {"check": dict(THM2, profile="lt-linear"), "verify-thm2": THM2,
+               "sweep": {"attacker": "slice", "n_from": 3, "n_to": 3,
+                         "channels": THM2["channels"]}}[command]
+        cfg = str(write_json(tmp_path, "cfg.json", {**doc, **routing}))
+        argv = {"check": ["check", "--config", cfg, "--attacker", "slice"],
+                "sweep": ["sweep", "--spec", cfg, "--out", str(tmp_path / "out.csv")],
+                "verify-thm2": ["verify-thm2", "--config", cfg]}[command]
+        code, _ = run(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("attacker", ["slice", "provider"])
+    def test_zero_channel_choice_runs(self, tmp_path, attacker):
+        # a zero in f is kept in place, as one in g or p is; check prints the
+        # same bytes as the per-server config it flattens to
+        doc = {"n": 3, "k1": 2, "k2": 3, "f": ["1", "0"],
+               "channels": [{"size": 2, "a": "0.1"}, {"size": 3, "a": "0.3"}]}
+        code, out = run(["verify-thm2", "--config", str(write_json(tmp_path, "f.json", doc))])
+        assert code == 0 and "equivalent=True" in out.splitlines()
+        flat = {"n": 3, "k1": 2, "k2": 3, "profile": "lt-linear", "m": 5,
+                "a": ["0.1", "0.1", "0.3", "0.3", "0.3"], "p": ["1/2", "1/2", "0", "0", "0"]}
+        runs = [run(["check", "--config", str(write_json(tmp_path, name, config)),
+                     "--attacker", attacker])
+                for name, config in (("ch.json", dict(doc, profile="lt-linear")),
+                                     ("flat.json", flat))]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
     def test_n_dependent_fault_stays_a_row(self, tmp_path, capsys):
         # ratio 1/10 rounds to a zero threshold at n = 1 but not at n = 11
         spec = write_json(tmp_path, "rs.json", dict(SWEEP, profile="rs", ratio="1/10",
@@ -399,10 +453,7 @@ class TestCli:
                    "verify-thm2": channel_cutoff_from_dict}
         inputs = [(CONFIG_COMMANDS.get(path.name, "check"), load_json(path))
                   for path in sorted((ROOT / "configs").glob("*.json"))]
-        spec = importlib.util.spec_from_file_location("workloads",
-                                                      ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_workloads()
         for workload in workloads.WORKLOADS:
             for seed in (0, 1):
                 files = workloads.input_files(workload, seed)
@@ -413,6 +464,16 @@ class TestCli:
             "check", "oracle", "export", "sweep", "verify-thm2", "verify-thm3"}
         for command, doc in inputs:
             loaders.get(command, model_params_from_dict)(doc)
+
+    def test_benchmark_references_rebuild(self, tmp_path):
+        # the benchmark rebuilds its verify-bisim references through
+        # Distribution, Channel, expand_channels, ModelParams, lt_linear_profile
+        # and exact_reach, outside the CLI
+        workloads = load_workloads()
+        assert workloads.compute_references("verify-bisim", 0, str(tmp_path / "s0")) == \
+            workloads.committed_references("verify-bisim", 0)
+        refs = workloads.compute_references("verify-bisim", 32, str(tmp_path / "s32"))
+        assert workloads.reference_count_mismatches(refs, workloads.load_pinned()) == []
 
     def test_state_cap_is_a_clean_refusal(self, tmp_path, capsys, monkeypatch):
         from dispersal_mc import mdp

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dispersal_mc import ModelParams, build_composed, lt_linear_profile, uniform_probabilities
+from dispersal_mc import Distribution, ModelParams, build_composed, lt_linear_profile
 from dispersal_mc import experiments
 from dispersal_mc.experiments import (CSV_HEADER, OracleCapError,
                                       SweepSpec, attack_vector, emit_csv,
@@ -29,12 +29,12 @@ class TestOracle:
 
     def test_provider_anchor(self):
         params = ModelParams(n=2, m=2, c=2, k1=2, k2=2, a=(F(1, 2), F(1, 2)),
-                             x=(F(1),), p=uniform_probabilities(2))
+                             x=(F(1),), p=Distribution.uniform(2))
         assert enumerate_oracle(params, "provider") == F(3, 8)
 
     def test_no_attack_probability(self):
         params = ModelParams(n=2, m=2, c=2, k1=1, k2=1, a=(F(0), F(0)),
-                             x=(F(1), F(1)), p=uniform_probabilities(2))
+                             x=(F(1), F(1)), p=Distribution.uniform(2))
         assert enumerate_oracle(params, "slice") == 0
         assert enumerate_oracle(params, "provider") == 0
 
@@ -54,7 +54,7 @@ class TestOracle:
         monkeypatch.setattr(experiments, "ORACLE_CAP", 100)
         params = ModelParams(n=6, m=3, c=2, k1=3, k2=4,
                              a=(F(1, 2),) * 3, x=lt_linear_profile(3, 4, 6),
-                             p=uniform_probabilities(3))
+                             p=Distribution.uniform(3))
         with pytest.raises(OracleCapError, match="189 keys"):  # 3^3 counts x 7 held
             enumerate_oracle(params, "slice")
 
@@ -62,7 +62,7 @@ class TestOracle:
         # 6^12 outcome-tree nodes; the memo keys are (counts, held)
         params = ModelParams(n=12, m=3, c=4, k1=7, k2=10,
                              a=(F(1, 10), F(1, 5), F(3, 10)),
-                             x=lt_linear_profile(7, 10, 12), p=uniform_probabilities(3))
+                             x=lt_linear_profile(7, 10, 12), p=Distribution.uniform(3))
         model = build_composed(params, "slice")
         value = enumerate_oracle(params, "slice")
         assert value == exact_reach(model, HACKED, "min")
@@ -72,7 +72,7 @@ class TestOracle:
         # with c >= n, the 32 corruption sets fall into 6 groups of routed mass k/5
         params = ModelParams(n=4, m=5, c=4, k1=2, k2=3,
                              a=tuple(F(i, 20) for i in range(1, 6)),
-                             x=lt_linear_profile(2, 3, 4), p=uniform_probabilities(5))
+                             x=lt_linear_profile(2, 3, 4), p=Distribution.uniform(5))
         assert sorted(experiments._corruption_groups(params)) == [F(k, 5) for k in range(6)]
         model = build_composed(params, "provider", reduced=True)
         assert model.state_count == 2702
@@ -104,7 +104,7 @@ class TestMonteCarlo:
 
     def test_provider_interval(self):
         params = ModelParams(n=2, m=2, c=2, k1=2, k2=2, a=(F(1, 2), F(1, 2)),
-                             x=(F(1),), p=uniform_probabilities(2))
+                             x=(F(1),), p=Distribution.uniform(2))
         est = monte_carlo(params, "provider", 200_000, seed=7)
         assert est.low <= 0.375 <= est.high
 

@@ -18,7 +18,7 @@ from dispersal_mc import mdp as mdp_module
 from dispersal_mc.bisim import bisimilar, verify_capacity_abstraction
 from dispersal_mc.configio import load_model_params
 from dispersal_mc.models import (HACKED, ModelParams, build_client, build_composed,
-                                 build_intruder, lt_linear_profile, uniform_probabilities)
+                                 build_intruder, lt_linear_profile)
 from dispersal_mc.solver import exact_reach, solve_reach
 from acceptance_grid import build_grid
 from helpers import expand_reference, is_forward, make_mdp, random_mdp, sccs, validate
@@ -27,36 +27,40 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestDistribution:
-    def test_zero_masses_dropped_and_sorted(self):
-        d = Distribution({3: Fraction(1, 2), 1: Fraction(1, 2), 7: Fraction(0)})
-        assert d.support == (1, 3)
-        assert d.total() == 1
+    def test_zero_masses_kept_in_place(self):
+        d = Distribution((Fraction(1, 2), Fraction(0), Fraction(1, 2), 0))
+        assert d == (Fraction(1, 2), 0, Fraction(1, 2), 0)
+        assert len(d) == 4 and all(isinstance(m, Fraction) for m in d)
 
     def test_uniform_is_exact(self):
         d = Distribution.uniform(7)
-        assert d.items() == tuple((i, Fraction(1, 7)) for i in range(1, 8))
-        assert d.total() == 1
+        assert d == tuple(Fraction(1, 7) for _ in range(7))
+        assert sum(d) == 1
+
+    @pytest.mark.parametrize("masses", [(Fraction(3, 4),), (Fraction(1, 2), Fraction(1, 4)), ()])
+    def test_total_other_than_one_rejected(self, masses):
+        with pytest.raises(ValueError, match="not 1"):
+            Distribution(masses)
+
+    def test_uniform_without_outcomes_rejected(self):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            Distribution.uniform(0)
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            Distribution({0: Fraction(-1, 2)})
+        with pytest.raises(ValueError, match="negative mass"):
+            Distribution((Fraction(3, 2), Fraction(-1, 2)))
 
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6))
     def test_rational_normalization_sums_to_one(self, dens):
         # normalizing any positive weight vector gives total exactly 1
         weights = [Fraction(1, d) for d in dens]
         total = sum(weights)
-        d = Distribution({i: w / total for i, w in enumerate(weights)})
-        assert d.total() == 1
+        d = Distribution(w / total for w in weights)
+        assert sum(d) == 1 and len(d) == len(dens)
 
 
 class TestSingleMerge:
-    """Distribution is the one place where repeated outcomes are summed."""
-
-    def test_repeated_outcomes_merge(self):
-        d = Distribution([(1, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))])
-        assert d == Distribution({1: Fraction(2, 3), 2: Fraction(1, 3)})
-        assert d.items() == ((1, Fraction(2, 3)), (2, Fraction(1, 3)))
+    """MdpBuilder is the one place where repeated outcomes are summed."""
 
     def test_branches_reaching_one_successor_become_one_edge(self):
         mod = TemplateModule(
@@ -78,7 +82,7 @@ class TestSingleMerge:
         # reached only through them must not become a state
         params = ModelParams(n=4, m=3, c=4, k1=2, k2=3,
                              a=(Fraction(0), Fraction(1), Fraction(1, 2)),
-                             x=lt_linear_profile(2, 3, 4), p=uniform_probabilities(3))
+                             x=lt_linear_profile(2, 3, 4), p=Distribution.uniform(3))
         m = build_composed(params, attacker, reduced=reduced)
         assert (m.state_count, m.transition_count) == size
 

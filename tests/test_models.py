@@ -11,7 +11,7 @@ from dispersal_mc import (AbstractionPreconditionError, Channel, Distribution,
                           ModelParams, ParameterError, build_client,
                           build_composed, expand,
                           expand_channels, lt_linear_profile, round_half_up,
-                          rs_profile, uniform_probabilities)
+                          rs_profile)
 from dispersal_mc.models import (HACKED, build_provider_attacker,
                                  build_slice_attacker)
 from dispersal_mc.solver import exact_reach, solve_reach
@@ -101,21 +101,34 @@ class TestProfiles:
 
 class TestChannels:
     def test_single_channel_single_server(self):
-        p, a = expand_channels(Distribution({1: 1}),
+        p, a = expand_channels(Distribution((1,)),
                                [Channel(1, Distribution.uniform(1), F(3, 10))])
         assert p == (F(1),)
         assert a == (F(3, 10),)
 
     def test_two_channels_product_masses(self):
-        f = Distribution({1: F(1, 2), 2: F(1, 2)})
+        f = Distribution((F(1, 2), F(1, 2)))
         channels = [Channel(2, Distribution.uniform(2), F(1, 10)),
                     Channel(1, Distribution.uniform(1), F(2, 5))]
         p, a = expand_channels(f, channels)
         assert p == (F(1, 4), F(1, 4), F(1, 2))
         assert a == (F(1, 10), F(1, 10), F(2, 5))
 
+    def test_zero_channel_mass_kept_in_place(self):
+        f = Distribution((0, 1))
+        channels = [Channel(2, Distribution.uniform(2), F(1, 10)),
+                    Channel(2, (F(1), F(0)), F(2, 5))]
+        p, a = expand_channels(f, channels)
+        assert p == (0, 0, 1, 0)
+        assert a == (F(1, 10), F(1, 10), F(2, 5), F(2, 5))
+
+    @pytest.mark.parametrize("g", [(F(1),), (F(1, 2), F(1, 4), F(1, 4))])
+    def test_routing_of_other_length_rejected(self, g):
+        with pytest.raises(ParameterError, match="masses for 2 servers"):
+            Channel(2, g, F(1, 2))
+
     def test_support_mismatch_rejected(self):
-        f = Distribution({1: 1})
+        f = Distribution((1,))
         channels = [Channel(1, Distribution.uniform(1), F(1, 2)),
                     Channel(1, Distribution.uniform(1), F(1, 2))]
         with pytest.raises(ParameterError):
@@ -147,8 +160,8 @@ class TestClient:
 
     def test_reachable_counts_match_rule_based_search(self):
         for n, m_, c, p in [
-            (2, 2, 1, uniform_probabilities(2)),
-            (3, 2, 2, uniform_probabilities(2)),
+            (2, 2, 1, Distribution.uniform(2)),
+            (3, 2, 2, Distribution.uniform(2)),
             (2, 3, 1, (F(1, 2), F(1, 4), F(1, 4))),
             (4, 2, 2, (F(3, 4), F(1, 4))),
         ]:
@@ -171,7 +184,7 @@ class TestClient:
 
     def test_tight_capacity_forces_distinct_servers(self):
         params = ModelParams(n=2, m=2, c=1, k1=1, k2=1, a=(F(0), F(0)),
-                             x=(F(1), F(1)), p=uniform_probabilities(2))
+                             x=(F(1), F(1)), p=Distribution.uniform(2))
         model = expand(build_client(params))
         iv = {v: i for i, v in enumerate(model.variables)}
         finished = [s for s in model.states if s[iv["ctr_c"]] == 2]
@@ -183,20 +196,20 @@ class TestClient:
 class TestClientPrime:
     def test_no_occupancy_variables(self):
         params = simple_params(n=3, m=2, c=3, a=(F(1, 2), F(1, 2)),
-                               x=(F(1),) * 3, p=uniform_probabilities(2))
+                               x=(F(1),) * 3, p=Distribution.uniform(2))
         mod = build_client(params, reduced=True)
         assert all(not v.name.startswith("ctr_c_") for v in mod.variables)
 
     def test_strictly_smaller_reachable_set(self):
         params = simple_params(n=3, m=2, c=3, a=(F(1, 2), F(1, 2)),
-                               x=(F(1),) * 3, p=uniform_probabilities(2))
+                               x=(F(1),) * 3, p=Distribution.uniform(2))
         full = expand(build_client(params))
         reduced = expand(build_client(params, reduced=True))
         assert reduced.state_count < full.state_count
 
     def test_capacity_precondition(self):
         params = simple_params(n=3, m=2, c=2, a=(F(1, 2), F(1, 2)),
-                               x=(F(1),) * 3, p=uniform_probabilities(2))
+                               x=(F(1),) * 3, p=Distribution.uniform(2))
         with pytest.raises(AbstractionPreconditionError):
             build_client(params, reduced=True)
 
@@ -227,7 +240,7 @@ class TestSliceAttacker:
 
     def test_certain_interception_hacks(self):
         params = ModelParams(n=3, m=2, c=2, k1=2, k2=2, a=(F(1), F(1)),
-                             x=(F(1), F(1)), p=uniform_probabilities(2))
+                             x=(F(1), F(1)), p=Distribution.uniform(2))
         model = build_composed(params, "slice")
         assert exact_reach(model, HACKED, "min") == 1
 
@@ -251,14 +264,14 @@ class TestProviderAttacker:
 
     def test_two_provider_anchor(self):
         params = ModelParams(n=2, m=2, c=2, k1=2, k2=2, a=(F(1, 2), F(1, 2)),
-                             x=(F(1),), p=uniform_probabilities(2))
+                             x=(F(1),), p=Distribution.uniform(2))
         model = build_composed(params, "provider")
         assert exact_reach(model, HACKED, "min") == F(3, 8)
         assert exact_reach(model, HACKED, "max") == F(3, 8)
 
     def test_all_providers_corrupted(self):
         params = ModelParams(n=4, m=2, c=2, k1=2, k2=3, a=(F(1), F(1)),
-                             x=lt_linear_profile(2, 3, 4), p=uniform_probabilities(2))
+                             x=lt_linear_profile(2, 3, 4), p=Distribution.uniform(2))
         model = build_composed(params, "provider")
         assert exact_reach(model, HACKED, "max") == params.x_at(4) == 1
 
@@ -299,9 +312,9 @@ class TestBuiltModelInvariants:
 
     def test_raising_interception_probability_is_monotone(self):
         base = ModelParams(n=3, m=2, c=2, k1=2, k2=3, a=(F(1, 5), F(2, 5)),
-                           x=lt_linear_profile(2, 3, 3), p=uniform_probabilities(2))
+                           x=lt_linear_profile(2, 3, 3), p=Distribution.uniform(2))
         bumped = ModelParams(n=3, m=2, c=2, k1=2, k2=3, a=(F(4, 5), F(2, 5)),
-                             x=lt_linear_profile(2, 3, 3), p=uniform_probabilities(2))
+                             x=lt_linear_profile(2, 3, 3), p=Distribution.uniform(2))
         for attacker in ("slice", "provider"):
             low = exact_reach(build_composed(base, attacker), HACKED, "max")
             high = exact_reach(build_composed(bumped, attacker), HACKED, "max")
@@ -319,6 +332,6 @@ class TestBuiltModelInvariants:
 
     def test_attacker_done_pc(self):
         params = simple_params(n=2, m=2, c=2, a=(F(1, 2), F(1, 2)),
-                               p=uniform_probabilities(2))
+                               p=Distribution.uniform(2))
         assert build_slice_attacker(params).labels == {HACKED: (("pc_a", "=", 2),)}
         assert build_provider_attacker(params).labels == {HACKED: (("pc_a", "=", 3),)}

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from acceptance_grid import build_grid
-from dispersal_mc import (Branch, ModelParams, TemplateModule, TransitionTemplate,
-                          VarDecl, compose_templates, expand, lt_linear_profile,
-                          uniform_probabilities)
+from dispersal_mc import (Branch, Distribution, ModelParams, TemplateModule,
+                          TransitionTemplate, VarDecl, compose_templates, expand,
+                          lt_linear_profile)
 from dispersal_mc.models import (build_client, build_composed,
                                  build_provider_attacker, build_slice_attacker)
 from dispersal_mc.prism import export_prism
@@ -32,13 +32,13 @@ class TestExport:
     def test_deterministic_bytes(self):
         params = ModelParams(n=3, m=2, c=2, k1=2, k2=3, a=(F(1, 10), F(1, 5)),
                              x=lt_linear_profile(2, 3, 3),
-                             p=uniform_probabilities(2))
+                             p=Distribution.uniform(2))
         assert export_prism(params, "provider") == export_prism(params, "provider")
 
     def test_commands_in_bijection_with_templates(self):
         params = ModelParams(n=4, m=2, c=2, k1=2, k2=3, a=(F(1, 10), F(1, 5)),
                              x=lt_linear_profile(2, 3, 4),
-                             p=uniform_probabilities(2))
+                             p=Distribution.uniform(2))
         for attacker, builder in (("slice", build_slice_attacker),
                                   ("provider", build_provider_attacker)):
             text = export_prism(params, attacker)
@@ -57,7 +57,7 @@ class TestExport:
 
     def test_provider_export_mentions_flags_and_gate(self):
         params = ModelParams(n=2, m=2, c=2, k1=2, k2=2, a=(F(1, 2), F(1, 2)),
-                             x=(F(1),), p=uniform_probabilities(2))
+                             x=(F(1),), p=Distribution.uniform(2))
         text = export_prism(params, "provider")
         assert "att_a_1 : [0..1] init 0;" in text
         assert "ctr_c=2" in text          # reconstruction gated on completion

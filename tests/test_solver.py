@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dispersal_mc import ModelParams, build_composed, uniform_probabilities
+from dispersal_mc import Distribution, ModelParams, build_composed
 from acceptance_grid import build_grid
 from dispersal_mc import solver
 from dispersal_mc.configio import load_model_params
@@ -117,7 +117,7 @@ class TestExactEngine:
 
     def test_provider_anchor_is_exactly_three_eighths(self):
         params = ModelParams(n=2, m=2, c=2, k1=2, k2=2, a=(F(1, 2), F(1, 2)),
-                             x=(F(1),), p=uniform_probabilities(2))
+                             x=(F(1),), p=Distribution.uniform(2))
         m = build_composed(params, "provider")
         assert exact_reach(m, HACKED, "min") == F(3, 8)
         assert exact_reach(m, HACKED, "max") == F(3, 8)
