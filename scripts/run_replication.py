@@ -59,7 +59,11 @@ def main() -> int:
                         help="largest slice count for the 10-group curve; its "
                              "state space grows fastest (n=20 already expands "
                              "about 2.5M states), so raise this only with "
-                             "time and memory to spare")
+                             "time and memory to spare: a sweep solves its "
+                             "points in parallel, one forked worker per usable "
+                             "CPU (taskset limits them), so memory reaches up "
+                             "to workers times the largest point's peak; rows "
+                             "and CSV bytes are unchanged")
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)

@@ -131,6 +131,12 @@ def channel_cutoff_from_dict(doc: dict) -> tuple[Distribution, list[Channel], di
     f, channels = parse_channels(doc)
     fields = _read(doc, ("n", "k1", "k2", "x", "c"))
     _refuse_unread(doc, ("channels", "f", "n", "k1", "k2", "x", "c"), "verify-thm2 config")
+    p, a = expand_channels(f, channels)
+    try:  # the thresholds; c < n is a refusal that verify_channel_cutoff makes
+        make_params("lt-linear" if "x" not in fields else "explicit", fields["n"], len(p), a,
+                    p=p, k1=fields["k1"], k2=fields["k2"], x=fields.get("x"))
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     return f, channels, fields
 
 

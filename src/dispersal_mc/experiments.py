@@ -9,6 +9,7 @@ them. The Monte-Carlo estimator extends the cross-check beyond the exact caps.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,6 +127,11 @@ def params_for(spec: SweepSpec, n: int) -> ModelParams:
                        ratio=spec.ratio, k1=k1, k2=k2, x=spec.x)
 
 
+def _error_row(n: int, exc: Exception) -> SweepRow:
+    return SweepRow(n, float("nan"), float("nan"), 0, 0, 0.0, 0,
+                    error=f"{type(exc).__name__}: {exc}")
+
+
 def _solve_point(spec: SweepSpec, n: int) -> SweepRow:
     started = time.perf_counter()
     try:
@@ -141,20 +147,33 @@ def _solve_point(spec: SweepSpec, n: int) -> SweepRow:
                            model.state_count, model.transition_count,
                            0.0, res.iterations)
     except Exception as exc:  # per-point failures must not kill the sweep
-        return SweepRow(n, float("nan"), float("nan"), 0, 0, 0.0, 0,
-                        error=f"{type(exc).__name__}: {exc}")
+        return _error_row(n, exc)
     if spec.timing:
         row.wall_ms = (time.perf_counter() - started) * 1000.0
     return row
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Solve every point of the spec, in increasing n.
+    """Solve every point of the spec; rows come back in increasing n.
 
-    Per-point failures are recorded in the row's ``error`` field and the
-    sweep continues.
+    Forked workers, one per usable CPU (``taskset`` limits them), solve the
+    points largest n (the slowest) first; one point or one CPU runs in this
+    process. Rows and CSV bytes do not depend on the worker count; memory
+    reaches up to workers times the largest point's peak. Call this from a
+    single-threaded process, as ``fork`` copies it. No worker outlives the
+    call. A failed point, a lost worker included, gets an ``error`` row.
     """
-    return [_solve_point(spec, n) for n in spec.points()]
+    points = spec.points()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(points), cpus)
+    if workers <= 1:
+        return [_solve_point(spec, n) for n in points]
+    import multiprocessing  # imported here: commands without a pool skip their cost
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {n: pool.submit(_solve_point, spec, n) for n in reversed(points)}
+    return [futures[n].result() if futures[n].exception() is None
+            else _error_row(n, futures[n].exception()) for n in points]
 
 
 def emit_csv(rows: Iterable[SweepRow], path) -> None:

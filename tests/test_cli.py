@@ -357,6 +357,25 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("thresholds, message", [
+        ({"k1": 5, "k2": 5}, "need 1 <= k1 <= k2 <= n, got 5, 5, 3"),
+        ({"k1": 3, "k2": 2}, "need 1 <= k1 <= k2 <= n, got 3, 2, 3"),
+        ({"n": 0}, "need 1 <= k1 <= k2 <= n, got 2, 3, 0"),
+        ({"x": ["1"]}, "x must list 2 values for j in [2, 3]"),
+        ({"x": ["1/2", "1/2"]}, "x[3] = 1/2 must equal 1 from k2 on"),
+    ], ids=["k1-above-n", "k1-above-k2", "n-zero", "x-short", "x-below-one-at-k2"])
+    def test_threshold_fault_exit_two(self, tmp_path, capsys, thresholds, message):
+        # verify-thm2 refused these with exit 1, after its loader had returned
+        doc = {**THM2, **thresholds}
+        profile = "explicit" if "x" in doc else "lt-linear"
+        results = {}
+        for argv in (["check", "--attacker", "slice", "--config",
+                      str(write_json(tmp_path, "check.json", dict(doc, profile=profile)))],
+                     ["verify-thm2", "--config", str(write_json(tmp_path, "thm2.json", doc))]):
+            code, out = run(argv)
+            results[argv[0]] = (code, out, capsys.readouterr().err)
+        assert results["check"] == results["verify-thm2"] == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("attacker", ["slice", "provider"])
     def test_zero_channel_choice_runs(self, tmp_path, attacker):
         # a zero in f is kept in place, as one in g or p is; check prints the

@@ -1,5 +1,12 @@
 """Sweep harness, enumeration oracle, Monte-Carlo estimator, CSV output."""
 
+import concurrent.futures
+import dataclasses
+import io
+import json
+import math
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -7,6 +14,7 @@ import pytest
 
 from dispersal_mc import Distribution, ModelParams, build_composed, lt_linear_profile
 from dispersal_mc import experiments
+from dispersal_mc.cli import main
 from dispersal_mc.experiments import (CSV_HEADER, OracleCapError,
                                       SweepSpec, attack_vector, emit_csv,
                                       enumerate_oracle, monte_carlo,
@@ -196,6 +204,97 @@ class TestSweep:
                             n_step=1, m=3, a=(F(1, 10), F(1, 5), F(3, 10)))
         params = params_for(spec_rs, 10)
         assert (params.k1, params.k2) == (7, 7)
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _fields(row):
+    """A row's fields, with an error row's NaN probabilities as None."""
+    return tuple(None if isinstance(v, float) and math.isnan(v) else v
+                 for v in dataclasses.astuple(row))
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+A2 = (F(1, 5), F(2, 5))
+
+
+class TestPool:
+    """Several points and usable CPUs: forked workers solve the points."""
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(attacker="slice", profile="lt-linear", n_from=4, n_to=8, n_step=2,
+                  m=3, a=(F(1, 10), F(1, 5), F(3, 10)), c=4),
+        SweepSpec(attacker="provider", profile="lt-linear", n_from=2, n_to=5, n_step=1,
+                  m=2, a=A2, c=3, solver="exact"),
+        SweepSpec(attacker="provider", profile="lt-linear", n_from=2, n_to=5, n_step=1,
+                  m=2, a=A2, solver="mc", samples=500, seed=5),
+        # ratio 1/10 rounds to a zero threshold at n = 1 only
+        SweepSpec(attacker="slice", profile="rs", ratio=F(1, 10), n_from=1, n_to=21,
+                  n_step=10, m=2, a=A2),
+    ], ids=["vi-cyclic", "exact", "mc", "error-row"])
+    def test_pooled_rows_equal_in_process_rows(self, monkeypatch, spec):
+        with monkeypatch.context() as patch:
+            _usable_cpus(patch, 1)
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+            in_process = sweep(spec)
+        _usable_cpus(monkeypatch, 2)
+        pooled = sweep(spec)
+        assert [row.n for row in pooled] == spec.points()
+        assert [_fields(row) for row in pooled] == [_fields(row) for row in in_process]
+        assert any(row.error for row in pooled) == (spec.profile == "rs")
+        assert multiprocessing.active_children() == []
+
+    def test_one_point_runs_in_process(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        spec = SweepSpec(attacker="slice", profile="lt-linear", n_from=4, n_to=4,
+                         m=2, a=A2)
+        assert sweep(spec)[0].error is None
+
+    def test_workers_time_their_points(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        spec = SweepSpec(attacker="slice", profile="lt-linear", n_from=2, n_to=5,
+                         n_step=1, m=2, a=A2, timing=True)
+        rows = sweep(spec)
+        assert [row.n for row in rows] == [2, 3, 4, 5]
+        assert all(row.error is None and row.wall_ms > 0 for row in rows)
+
+    def test_lost_worker_gives_an_error_row(self, monkeypatch, tmp_path, capsys):
+        # The forked workers inherit the patch; the one that builds n = 5
+        # dies as an out-of-memory kill would, without a Python exception.
+        build, test_pid = experiments.build_composed, os.getpid()
+
+        def build_or_die(params, *args, **kwargs):
+            if params.n == 5:
+                if os.getpid() == test_pid:
+                    raise AssertionError("n = 5 was solved in the test's own process")
+                os._exit(9)
+            return build(params, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_composed", build_or_die)
+        _usable_cpus(monkeypatch, 2)
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps({"attacker": "slice", "n_from": 3, "n_to": 6,
+                                         "n_step": 1, "m": 2, "a": ["1/5", "2/5"]}))
+        code = main(["sweep", "--spec", str(spec_path), "--out", str(out_path)],
+                    out=io.StringIO())
+        assert code == 1
+        assert multiprocessing.active_children() == []
+        header, *lines = out_path.read_text().splitlines()
+        assert header == CSV_HEADER
+        assert [line.split(",")[0] for line in lines] == ["3", "4", "5", "6"]
+        assert "5,,,0,0,0,0" in lines
+        err = capsys.readouterr().err
+        assert "n=5: BrokenProcessPool: " in err
+        # a point lost with the pool is named too; one solved before is kept
+        for line in lines:
+            n, pmin = line.split(",")[:2]
+            assert (f"n={n}: BrokenProcessPool: " in err) == (pmin == "")
 
 
 class TestCsv:
