@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on a refusal or precondition failure, 2 on usage
-or configuration errors, an output path that cannot be written included.
+Exit codes: 0 on success, 1 on a refusal (out of memory included) or a failed
+precondition, 2 on usage or configuration errors, an unwritable output path included.
 """
 
 from __future__ import annotations
@@ -199,6 +199,10 @@ def main(argv=None, out=None) -> int:
     except (ParameterError, ModelError, QueryError, SolverError, OracleCapError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 1
+    except MemoryError:
+        pass  # refused below, once the handler has let go of the failed run's frames
+    sys.stderr.write("refused: out of memory\n")
+    return 1
 
 
 def entry() -> None:

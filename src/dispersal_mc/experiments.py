@@ -128,8 +128,9 @@ def params_for(spec: SweepSpec, n: int) -> ModelParams:
 
 
 def _error_row(n: int, exc: Exception) -> SweepRow:
+    message = "out of memory" if isinstance(exc, MemoryError) else exc  # its own is empty
     return SweepRow(n, float("nan"), float("nan"), 0, 0, 0.0, 0,
-                    error=f"{type(exc).__name__}: {exc}")
+                    error=f"{type(exc).__name__}: {message}")
 
 
 def _solve_point(spec: SweepSpec, n: int) -> SweepRow:

@@ -259,6 +259,7 @@ class Mdp:
 
     State ``s`` is one integer, ``codes[s]``: the code sum((x_p - low_p) * r_p) of
     its valuation over the declared ``ranges``, with r_p from :func:`radices`.
+    ``codes`` is an ``array("Q")``, or a list where codes may be wider than 64 bits.
     :attr:`states` decodes valuations on access; :meth:`reader` reads digits.
     Transitions are stored flat, as in sparse matrices with row groups (Hensel
     et al., "The probabilistic model checker Storm", STTT 24, 2022): state
@@ -344,6 +345,15 @@ def expand(module: TemplateModule) -> Mdp:
     parent's with the written positions moved. Digits are read only for an
     ``=k`` write to a position the class does not pin and, at a new state,
     for a ``+k`` write that may cross a cut.
+
+    The discovery index forgets states behind the frontier, as in the sweep-line
+    method (Christensen, Kristensen & Mailund, TACAS 2001). A *raised* position
+    is one that every branch writes, if at all, with ``+k``, k >= 0, so its digit
+    never falls along an edge. With one, from 4,096 states on, the index keeps only
+    codes whose digit at the widest raised position is at least the least digit
+    of the state being expanded and the unexpanded ones; no other can recur.
+    The next prune waits until the states have grown by the index's size.
+    Codes are kept unboxed, in an ``array("Q")``, when they fit 64 bits.
     """
     missing = list(module.reads)
     if missing:
@@ -427,13 +437,20 @@ def expand(module: TemplateModule) -> Mdp:
         return frozenset(prop for b, (prop, _) in enumerate(label_tests)
                          if bits >> b & 1), choices
 
-    cap, codes = STATE_CAP, [sum((d.init - d.low) * r for d, r in zip(module.variables, place))]
-    index, labels, memo = {codes[0]: 0}, [], {}
+    # The sweep position: the widest raised one with some k > 0 (the first on a tie).
+    writes = [atom for _, _, branches in compiled for _, update in branches for atom in update]
+    raised = [p for p in range(len(names)) if all(add and k >= 0 for q, add, k in writes if q == p)
+              and any(q == p and k for q, _, k in writes)]
+    sweep = max(raised, key=lambda p: ranges[p][1] - ranges[p][0], default=None)
+    init = sum((d.init - d.low) * r for d, r in zip(module.variables, place))
+    codes = array("Q", [init]) if math.prod(h - lo + 1 for lo, h in ranges) <= 2 ** 64 else [init]
+    cap, index, labels, memo = STATE_CAP, {init: 0}, [], {}
+    stop, shed = cap if sweep is None else min(cap, 4096), 0  # the cap, or the next prune
     frontier = deque([sum(bisect_right(cl, module.variables[p].init) * r
                           for p, cl, r in zip(tested, cut_lists, scale))])
     get, pop, push, add = index.get, frontier.popleft, frontier.append, rows.add_choice
-    fc, ca = rows.first_choice, rows.choice_action
-    for code in codes:  # a list iterator also visits the codes appended below
+    fc, ca, keep = rows.first_choice, rows.choice_action, codes.append
+    for code in codes:  # the iterator also visits the codes appended below
         cid = pop()
         hit = memo.get(cid)
         if hit is None:
@@ -449,10 +466,17 @@ def expand(module: TemplateModule) -> Mdp:
                 j = get(succ)
                 if j is None:
                     j = len(codes)
-                    if j >= cap:
-                        raise ExplorationError(f"state cap {cap} exceeded")
+                    if j >= stop:
+                        if j >= cap:
+                            raise ExplorationError(f"state cap {cap} exceeded")
+                        unit = place[sweep]  # a digit of at least d: c % block >= d * unit
+                        block = unit * (ranges[sweep][1] - ranges[sweep][0] + 1)
+                        floor = min(c % block for c in codes[len(fc) - 1:]) // unit * unit
+                        if floor > shed:  # no entry is left below the last prune's floor
+                            index = {c: i for c, i in index.items() if c % block >= floor}
+                        get, stop, shed = index.get, min(cap, j + max(len(index), 4096)), floor
                     index[succ] = j
-                    codes.append(succ)
+                    keep(succ)
                     for r, n, low, cl, sc in shifts:
                         cdelta += bisect_right(cl, succ // r % n + low) * sc
                     push(cid + cdelta)

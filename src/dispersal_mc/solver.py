@@ -13,6 +13,7 @@ directions where the successors agree, and one elimination a one-action cycle.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
@@ -132,7 +133,7 @@ def _reach_values(m: Mdp, target: str, *, exact: bool):
         if (s in targets if index is None else index[s]) or backup(s, s):
             continue
         if index is None:
-            index, low = [0] * n, [0] * n
+            index, low = array("i", [0]) * n, array("i", [0]) * n
             for t in targets:  # past every DFS number: solved
                 index[t] = n + 1
         rounds += _components(s, m, index, low, solve)

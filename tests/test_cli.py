@@ -3,8 +3,11 @@
 import importlib.util
 import io
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -506,6 +509,37 @@ class TestCli:
         code, _ = run(["check", "--config", str(cfg), "--attacker", "slice"])
         assert code == 1
         assert capsys.readouterr().err == "refused: state cap 10 exceeded\n"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or not Path("/proc/self/statm").exists(),
+                        reason="needs Linux's /proc/self/statm and CPU affinity")
+    def test_out_of_memory_is_a_clean_refusal(self, tmp_path):
+        # A child process caps its own address space 32 MiB above its size after
+        # import, and runs on one CPU, so the sweep solves its points in order in
+        # that process. Provider m = 8, n = 40 needs far more; n = 1 (6,639 states) fits.
+        child = ("import os, resource, sys\n"
+                 "from dispersal_mc import cli\n"
+                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                 "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (size + 2 ** 25, size + 2 ** 25))\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        a = [f"{i}/32" for i in range(1, 9)]
+        config = write_json(tmp_path, "big.json", {"n": 40, "m": 8, "profile": "lt-linear",
+                                                   "k1": 24, "k2": 32, "a": a})
+        spec = write_json(tmp_path, "sweep.json", {
+            "attacker": "provider", "profile": "lt-linear", "n_from": 1, "n_to": 40,
+            "n_step": 39, "m": 8, "a": a})
+        out_csv = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        runs = [subprocess.run([sys.executable, "-c", child, *argv], env=env, timeout=60,
+                               capture_output=True, text=True)
+                for argv in (["check", "--config", str(config), "--attacker", "provider"],
+                             ["sweep", "--spec", str(spec), "--out", str(out_csv)])]
+        assert [(r.returncode, r.stderr) for r in runs] == [
+            (1, "refused: out of memory\n"), (1, "n=40: MemoryError: out of memory\n")]
+        assert runs[0].stdout == ""
+        rows = out_csv.read_text().splitlines()[1:]
+        assert rows[0].startswith("1,0.") and rows[1] == "40,,,0,0,0,0"
 
     def test_bisim_verdict(self, tmp_path):
         cfg_a = write_json(tmp_path, "a.json", SLICE_ANCHOR)

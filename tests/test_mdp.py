@@ -18,7 +18,7 @@ from dispersal_mc import mdp as mdp_module
 from dispersal_mc.bisim import bisimilar, verify_capacity_abstraction
 from dispersal_mc.configio import load_model_params
 from dispersal_mc.models import (HACKED, ModelParams, build_client, build_composed,
-                                 build_intruder, lt_linear_profile)
+                                 build_intruder, lt_linear_profile, make_params)
 from dispersal_mc.solver import exact_reach, solve_reach
 from acceptance_grid import build_grid
 from helpers import expand_reference, is_forward, make_mdp, random_mdp, sccs, validate
@@ -572,6 +572,86 @@ class TestStateCodes:
             tracemalloc.stop()
         assert list(m.states) == [(0,), (1,), (2,), (3,)]
         assert peak < 2 ** 20
+
+
+def sweep_module(level_high=20):
+    """A module of 10,332 states whose only raised variable is ``lvl`` (0..20).
+    Within a level, ``x`` cycles through 12 values while ``w`` (0..40, the
+    widest) climbs; from ``w`` = 40 it is reset with ``=0``, in the same level
+    or in the next one, so level l + 1 is found only once level l has run
+    through its cycles. Sweeping on ``w`` would drop states that recur.
+    ``level_high`` widens ``lvl``'s declared range, which comes first in a code."""
+    one, half = Fraction(1), Fraction(1, 2)
+    return TemplateModule(
+        "levels", (VarDecl("lvl", 0, level_high), VarDecl("x", 0, 11), VarDecl("w", 0, 40)),
+        (TransitionTemplate("tick", (("x", "<", 11), ("w", "<", 40)),
+                            (Branch(half, (("x", "+", 1),)),
+                             Branch(half, (("x", "+", 1), ("w", "+", 1))))),
+         TransitionTemplate("wrap", (("x", "=", 11), ("w", "<", 40)),
+                            (Branch(half, (("x", "=", 0),)),
+                             Branch(half, (("x", "=", 0), ("w", "+", 1))))),
+         TransitionTemplate("top", (("w", ">=", 40), ("lvl", "<", 20)),
+                            (Branch(half, (("w", "=", 0),)),
+                             Branch(half, (("w", "=", 0), ("lvl", "+", 1))))),
+         TransitionTemplate("stay", (("w", ">=", 40), ("lvl", ">=", 20)),
+                            (Branch(one, (("w", "=", 0),)),))),
+        labels={"top": (("lvl", "=", 20), ("w", "=", 40))})
+
+
+class TestSweepLine:
+    """Expansion forgets the states whose raised digit the frontier has passed,
+    from 4,096 states on; every model stays the reference's, state for state."""
+
+    def test_slice_n24_c8_full_client(self):
+        params = make_params("lt-linear", 24, 3, (Fraction(1, 10), Fraction(1, 5),
+                                                  Fraction(3, 10)), c=8, k1=14, k2=19)
+        module = compose_templates(build_client(params), build_intruder(params, "slice"),
+                                   {"busy"})
+        got, m = _expanded(module)
+        assert m.state_count == 44_448 and isinstance(m.codes, array)
+        assert got == _outcome(module)
+
+    def test_level_found_late_through_cycles(self):
+        module = sweep_module()
+        got, m = _expanded(module)
+        assert m.state_count == 10_332 and isinstance(m.codes, array)
+        assert got == _outcome(module)
+        assert validate(m) == []
+
+    def test_state_being_expanded_stays_indexed(self):
+        # each state of the chain steps on, then loops back to itself: the
+        # state whose successor reaches a prune point still has a lookup to do
+        module = TemplateModule("chain", (VarDecl("c", 0, 5000),), (TransitionTemplate(
+            "step", (("c", "<", 5000),), (Branch(Fraction(1, 2), (("c", "+", 1),)),
+                                          Branch(Fraction(1, 2), ()))),))
+        got, m = _expanded(module)
+        assert m.state_count == 5001
+        assert got == _outcome(module)
+
+    def test_wide_codes_prune(self):
+        module = sweep_module(level_high=2 ** 70)
+        got, m = _expanded(module)
+        assert m.state_count == 10_332 and isinstance(m.codes, list)
+        assert max(m.codes) >= 2 ** 64
+        assert got == _outcome(module)
+
+
+class TestBuildPeak:
+    def test_bytes_per_state_of_build_and_solve(self):
+        # tracemalloc peak over build_composed and solve_reach on a cyclic
+        # 44,448-state model: 121 B/state with the discovery index pruned and
+        # codes unboxed, 212 with neither
+        params = make_params("lt-linear", 24, 3, (Fraction(1, 10), Fraction(1, 5),
+                                                  Fraction(3, 10)), c=8, k1=14, k2=19)
+        tracemalloc.start()
+        try:
+            model = build_composed(params, "slice")
+            solve_reach(model, HACKED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.state_count == 44_448
+        assert peak / model.state_count < 160
 
 
 class TestNoFullDecode:
