@@ -11,7 +11,7 @@ from .mdp import (Branch, CompositionError, Distribution, ExplorationError, Mdp,
 from .models import (HACKED, AbstractionPreconditionError, Channel, ModelParams,
                      ParameterError, build_client, build_composed,
                      build_provider_attacker, build_slice_attacker, expand_channels,
-                     lt_linear_profile, round_half_up, rs_profile)
+                     lt_linear_profile, round_half_up)
 
 __all__ = [
     "Branch", "CompositionError", "Distribution", "ExplorationError", "Mdp",
@@ -20,5 +20,5 @@ __all__ = [
     "HACKED", "AbstractionPreconditionError", "Channel", "ModelParams",
     "ParameterError", "build_client", "build_composed",
     "build_provider_attacker", "build_slice_attacker", "expand_channels",
-    "lt_linear_profile", "round_half_up", "rs_profile",
+    "lt_linear_profile", "round_half_up",
 ]

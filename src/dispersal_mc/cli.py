@@ -18,7 +18,7 @@ from .experiments import OracleCapError, emit_csv, enumerate_oracle, sweep
 from .models import Channel, ParameterError, build_composed
 from .mdp import Distribution, ModelError
 from .prism import export_prism
-from .rationals import format_decimal, format_rational
+from .rationals import format_decimal
 from .solver import QueryError, SolverError, solve_reach
 
 
@@ -34,7 +34,7 @@ def _cmd_check(args, out) -> int:
     params = load_model_params(args.config)
     model = build_composed(params, args.attacker)
     res = solve_reach(model, "hacked", exact=args.exact)
-    fmt = format_rational if args.exact else format_decimal
+    fmt = str if args.exact else format_decimal
     payload = {"pmin": fmt(res.pmin), "pmax": fmt(res.pmax),
                "states": model.state_count, "transitions": model.transition_count}
     _emit(payload, args.format, out)
@@ -88,10 +88,10 @@ def _cmd_verify_thm3(args, out) -> int:
 
 
 def _emit_report(report, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-        return
     d = report.to_dict()
+    if fmt == "json":
+        _emit(d, fmt, out)
+        return
     for key in ("claim", "equivalent", "bisimilar", "witness_contained",
                 "blocks", "states", "transitions", "reason"):
         out.write(f"{key}={d[key]}\n")
@@ -116,7 +116,7 @@ def _cmd_export(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     params = load_model_params(args.config)
     value = enumerate_oracle(params, args.attacker)
-    payload = {"probability": format_rational(value),
+    payload = {"probability": str(value),
                "decimal": format_decimal(value)}
     _emit(payload, args.format, out)
     return 0
@@ -207,7 +207,3 @@ def main(argv=None, out=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -11,8 +11,9 @@ import json
 from fractions import Fraction
 
 from .mdp import Distribution
-from .models import Channel, ModelParams, ParameterError, expand_channels, make_params
-from .experiments import SweepSpec
+from .models import (PROFILE_FIELDS, Channel, ModelParams, ParameterError, expand_channels,
+                     make_params)
+from .experiments import SWEEP_PROFILE_FIELDS, SweepSpec
 from .rationals import parse_probability
 
 
@@ -70,11 +71,6 @@ _READERS = {**dict.fromkeys(("n", "m", "c", "k1", "k2", "n_from", "n_to", "n_ste
             **dict.fromkeys(("ratio", "k1_ratio", "k2_ratio"), _probability),
             **dict.fromkeys(("a", "p", "x", "a_interval"), _probability_list),
             "profile": _str}
-# The threshold fields each profile reads, in a model config and in a sweep spec.
-_PROFILE_FIELDS = {"rs": ("ratio", "k1", "k2"), "lt-linear": ("k1", "k2"),
-                   "explicit": ("k1", "k2", "x")}
-_SWEEP_PROFILE_FIELDS = {"rs": ("ratio",), "lt-linear": ("k1_ratio", "k2_ratio"),
-                         "explicit": ("k1", "k2", "x")}
 
 
 def _read(doc: dict, keys) -> dict:
@@ -143,7 +139,7 @@ def channel_cutoff_from_dict(doc: dict) -> tuple[Distribution, list[Channel], di
 def model_params_from_dict(doc: dict) -> ModelParams:
     _require(doc, "n")
     profile = _read(doc, ("profile",)).get("profile", "explicit")
-    fields = _read(doc, ("n", "m", "c", *_PROFILE_FIELDS.get(profile, ())))
+    fields = _read(doc, ("n", "m", "c", *PROFILE_FIELDS.get(profile, ())))
     if "channels" in doc:
         fields["p"], fields["a"] = expand_channels(*parse_channels(doc))
         m = len(fields["p"])
@@ -158,7 +154,7 @@ def model_params_from_dict(doc: dict) -> ModelParams:
         params = make_params(profile, **fields)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    _refuse_unread(doc, ("n", "m", "c", "profile", *_PROFILE_FIELDS[profile], *routing),
+    _refuse_unread(doc, ("n", "m", "c", "profile", *PROFILE_FIELDS[profile], *routing),
                    f"{profile} model config")
     return params
 
@@ -179,7 +175,7 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
         routing = ("m", "p", "a" if "a" in doc else "a_interval")
         vectors = _read(doc, routing)
     # samples and seed steer the Monte-Carlo estimator only
-    read = ("n_from", "n_to", "n_step", "c", *_SWEEP_PROFILE_FIELDS.get(profile, ()),
+    read = ("n_from", "n_to", "n_step", "c", *SWEEP_PROFILE_FIELDS.get(profile, ()),
             *(("samples", "seed") if solver == "mc" else ()))
     try:
         spec = SweepSpec(attacker=doc["attacker"], profile=profile, solver=solver,

@@ -26,6 +26,10 @@ from .solver import solve_reach
 
 CSV_HEADER = "n,pmin,pmax,states,transitions,wall_ms,iterations"
 
+# The threshold fields a sweep reads for each profile; lt-linear's are rounded per point.
+SWEEP_PROFILE_FIELDS = {"rs": ("ratio",), "lt-linear": ("k1_ratio", "k2_ratio"),
+                        "explicit": ("k1", "k2", "x")}
+
 # The enumeration oracle refuses walks that may memoise more keys than this.
 ORACLE_CAP = 1_000_000
 
@@ -85,6 +89,9 @@ class SweepSpec:
         check_vectors(self.m, self.a, self.p)
         if self.profile != "lt-linear":  # a sweep rounds lt-linear thresholds per point
             check_thresholds(self.profile, ratio=self.ratio, k1=self.k1, k2=self.k2, x=self.x)
+        for name in ("ratio", "k1", "k2", "x"):
+            if getattr(self, name) is not None and name not in SWEEP_PROFILE_FIELDS[self.profile]:
+                raise ParameterError(f"field {name!r}: not read by an {self.profile} sweep")
         if self.profile == "explicit" and self.n_from != self.n_to:
             raise ParameterError("explicit profiles only support single-point sweeps")
 
@@ -162,7 +169,7 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     process. Rows and CSV bytes do not depend on the worker count; memory
     reaches up to workers times the largest point's peak. Call this from a
     single-threaded process, as ``fork`` copies it. No worker outlives the
-    call. A failed point, a lost worker included, gets an ``error`` row.
+    call. A failed point (a lost worker, a pool that stopped) gets an ``error`` row.
     """
     points = spec.points()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -171,10 +178,15 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         return [_solve_point(spec, n) for n in points]
     import multiprocessing  # imported here: commands without a pool skip their cost
     from concurrent.futures import ProcessPoolExecutor
+    before = set(multiprocessing.active_children())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = {n: pool.submit(_solve_point, spec, n) for n in reversed(points)}
-    return [futures[n].result() if futures[n].exception() is None
-            else _error_row(n, futures[n].exception()) for n in points]
+    for child in set(multiprocessing.active_children()) - before:  # left blocked if it stopped
+        child.terminate()
+        child.join()
+    lost = RuntimeError("the pool stopped before this point ran")
+    exc = {n: f.exception() if f.done() else lost for n, f in futures.items()}
+    return [futures[n].result() if exc[n] is None else _error_row(n, exc[n]) for n in points]
 
 
 def emit_csv(rows: Iterable[SweepRow], path) -> None:

@@ -44,7 +44,7 @@ class Distribution(tuple):
     __slots__ = ()
 
     def __new__(cls, masses):
-        masses = tuple(m if isinstance(m, Fraction) else Fraction(m) for m in masses)
+        masses = tuple(Fraction(m) for m in masses)
         if any(mass < 0 for mass in masses):
             raise ValueError(f"negative mass {min(masses)}")
         total = sum(masses, Fraction(0))
@@ -483,7 +483,6 @@ def expand(module: TemplateModule) -> Mdp:
                 pairs.append((j, wid))
             add(aid, pairs)
         fc.append(len(ca))
-    del index, get, memo  # free the discovery maps before the model is built
     return Mdp(names, ranges, codes, labels, rows, ap=frozenset(module.labels))
 
 

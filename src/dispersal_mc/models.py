@@ -39,10 +39,6 @@ ATT_RECONSTRUCT = 1
 ATT_DONE = 2
 
 
-def _frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def check_vectors(m: int, a=None, p=None) -> None:
     """Refuse an attack vector ``a`` or routing vector ``p`` unfit for ``m`` servers."""
     for name, given in (("a", a), ("p", p)):
@@ -79,7 +75,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("a", "x", "p"):
-            object.__setattr__(self, name, tuple(_frac(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(Fraction(v) for v in getattr(self, name)))
         if min(self.n, self.m, self.c) < 1:
             raise ParameterError("n, m and c must be positive")
         if not 1 <= self.k1 <= self.k2 <= self.n:
@@ -121,7 +117,7 @@ class Channel:
 
     def __post_init__(self):
         object.__setattr__(self, "g", Distribution(self.g))
-        object.__setattr__(self, "a", _frac(self.a))
+        object.__setattr__(self, "a", Fraction(self.a))
         if self.size < 1:
             raise ParameterError("channel size must be >= 1")
         if len(self.g) != self.size:
@@ -146,18 +142,8 @@ def expand_channels(f: Distribution, channels: Sequence[Channel]) -> tuple[tuple
 
 def round_half_up(value: Fraction) -> int:
     """Round to the nearest integer, halves up."""
-    value = _frac(value)
+    value = Fraction(value)
     return (2 * value.numerator + value.denominator) // (2 * value.denominator)
-
-
-def rs_profile(n: int, ratio) -> tuple[int, int]:
-    """Single-threshold profile: k1 = k2 = round(ratio * n), halves up."""
-    ratio = _frac(ratio)
-    check_thresholds("rs", ratio=ratio)
-    k = round_half_up(ratio * n)
-    if k < 1:
-        raise ParameterError(f"ratio {ratio} rounds to a zero threshold for n={n}")
-    return k, k
 
 
 def lt_linear_profile(k1: int, k2: int, n: int) -> tuple[Fraction, ...]:
@@ -172,16 +158,25 @@ def lt_linear_profile(k1: int, k2: int, n: int) -> tuple[Fraction, ...]:
     return tuple((min(j, k2) - k1 + 1) * delta for j in range(k1, n + 1))
 
 
+# The threshold fields each profile reads; all but rs need every one of them.
+PROFILE_FIELDS = {"rs": ("ratio", "k1", "k2"), "lt-linear": ("k1", "k2"),
+                  "explicit": ("k1", "k2", "x")}
+
+
 def check_thresholds(profile: str, *, ratio=None, k1=None, k2=None, x=None) -> None:
     """Refuse the threshold faults that hold at every n: an unknown profile, a
-    ratio outside (0, 1], and a field that the profile needs but lacks."""
-    needs = {"rs": (), "lt-linear": ("k1", "k2"), "explicit": ("k1", "k2", "x")}
-    if profile not in needs:
+    given field that the profile does not read, a ratio outside (0, 1], and a
+    field that the profile needs but lacks."""
+    if profile not in PROFILE_FIELDS:
         raise ParameterError(f"field 'profile': unknown profile {profile!r}")
+    reads = PROFILE_FIELDS[profile]
+    given = {"ratio": ratio, "k1": k1, "k2": k2, "x": x}
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ParameterError(f"field {name!r}: not read by the {profile} profile")
     if ratio is not None and not 0 < ratio <= 1:
         raise ParameterError(f"field 'ratio': {ratio} outside (0, 1]")
-    given = {"k1": k1, "k2": k2, "x": x}
-    missing = [name for name in needs[profile] if given[name] is None]
+    missing = [name for name in reads if profile != "rs" and given[name] is None]
     if missing:
         raise ParameterError(f"missing required field(s): {', '.join(missing)}")
 
@@ -196,7 +191,10 @@ def thresholds(profile: str, n: int, *, ratio=None, k1=None, k2=None, x=None
     """
     check_thresholds(profile, ratio=ratio, k1=k1, k2=k2, x=x)
     if profile == "rs":
-        k, _ = rs_profile(n, Fraction(7, 10) if ratio is None else ratio)
+        ratio = Fraction(7, 10) if ratio is None else Fraction(ratio)
+        k = round_half_up(ratio * n)
+        if k < 1:
+            raise ParameterError(f"ratio {ratio} rounds to a zero threshold for n={n}")
         for name, given in (("k1", k1), ("k2", k2)):
             if given is not None and given != k:
                 raise ParameterError(f"field {name!r}: {given} conflicts with ratio-derived {k}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .mdp import TemplateModule
 from .models import ModelParams, build_client, build_intruder
-from .rationals import format_rational
 
 
 def _render_guard(guard) -> str:
@@ -30,7 +29,7 @@ def _render_module(module: TemplateModule, title: str) -> list[str]:
     lines.append("")
     for t in module.templates:
         updates = " + ".join(
-            f"{format_rational(b.weight)} : {_render_update(b.update)}"
+            f"{b.weight} : {_render_update(b.update)}"
             for b in t.branches if b.weight != 0)
         lines.append(f"  [{t.action}] {_render_guard(t.guard)} -> {updates};")
     lines.append("endmodule")

@@ -29,13 +29,6 @@ def parse_probability(value) -> Fraction:
     return q
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a rational as ``num/den``, or just ``num`` for integers."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def format_decimal(q: Fraction | float) -> str:
     """Render a number as ``f"{q:.12g}"`` would, from its exact value (a
     float's binary value), rounded once to 12 significant digits, half to even."""

@@ -9,7 +9,8 @@ routing, and the degenerate attack probabilities 0 and 1.
 
 from fractions import Fraction as F
 
-from dispersal_mc import Distribution, ModelParams, lt_linear_profile, rs_profile
+from dispersal_mc import Distribution, ModelParams, lt_linear_profile
+from dispersal_mc.models import thresholds
 
 # (n, m) -> two-threshold pair with k1 < k2 where possible
 _LT_THRESHOLDS = {2: (1, 2), 3: (2, 3), 4: (2, 3), 5: (3, 4), 6: (4, 5)}
@@ -46,8 +47,7 @@ def build_grid():
                 c = n  # skewed routing with tight capacity slows convergence
             for profile in ("rs", "lt"):
                 if profile == "rs":
-                    k1, k2 = rs_profile(n, F(7, 10))
-                    x = tuple(F(1) for _ in range(k1, n + 1))
+                    k1, k2, x = thresholds("rs", n, ratio=F(7, 10))
                 else:
                     k1, k2 = _LT_THRESHOLDS[n]
                     x = lt_linear_profile(k1, k2, n)

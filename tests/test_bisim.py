@@ -127,6 +127,21 @@ class TestCoarsestBisimulation:
             paths[forward] += 1
         assert paths[True] >= 300 and paths[False] >= 50
 
+    @pytest.mark.parametrize("attacker", ["slice", "provider"])
+    def test_cyclic_models_match_round_reference(self, attacker):
+        # c < n: retry loops make the models cyclic, so the worklist refines them.
+        # The twin swaps servers 1 and 2; the provider intruder tosses its
+        # coins in server order, so only the slice twin is bisimilar.
+        m, twin = (build_composed(ModelParams(n=6, m=3, c=2, k1=4, k2=5, a=a,
+                                              x=lt_linear_profile(4, 5, 6),
+                                              p=Distribution.uniform(3)), attacker)
+                   for a in (A3, (A3[1], A3[0], A3[2])))
+        assert not is_forward(m)
+        assert coarsest_bisimulation(m) == first_seen(refine_by_rounds(m))
+        res = bisimilar(m, twin)
+        assert res.block_of == first_seen(refine_by_rounds(m, twin))
+        assert res.equivalent == (attacker == "slice")
+
     def test_idempotent(self):
         rng = random.Random(37)
         for _ in range(15):

@@ -21,7 +21,7 @@ from dispersal_mc.configio import (ConfigError, channel_cutoff_from_dict, load_j
                                   model_params_from_dict, sweep_spec_from_dict)
 from dispersal_mc.experiments import params_for
 from dispersal_mc.models import HACKED, build_composed
-from dispersal_mc.rationals import format_decimal, format_rational, parse_probability
+from dispersal_mc.rationals import format_decimal, parse_probability
 from dispersal_mc.solver import exact_reach, solve_reach
 from helpers import make_mdp
 
@@ -224,8 +224,8 @@ class TestCli:
         assert solve_reach(model, HACKED).iterations > 0
         payload = json.loads(out)
         assert (code, payload["pmin"], payload["pmax"]) == \
-            (0, format_rational(exact_reach(model, HACKED, "min")),
-             format_rational(exact_reach(model, HACKED, "max")))
+            (0, str(exact_reach(model, HACKED, "min")),
+             str(exact_reach(model, HACKED, "max")))
 
     def test_unknown_subcommand_usage_error(self):
         code, _ = run(["frobnicate"])

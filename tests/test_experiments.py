@@ -8,7 +8,11 @@ import math
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,7 @@ from dispersal_mc.experiments import (CSV_HEADER, OracleCapError,
                                       SweepSpec, attack_vector, emit_csv,
                                       enumerate_oracle, monte_carlo,
                                       params_for, sweep)
-from dispersal_mc.models import HACKED
+from dispersal_mc.models import HACKED, ParameterError
 from dispersal_mc.solver import exact_reach, solve_reach
 from helpers import random_params
 
@@ -190,6 +194,18 @@ class TestSweep:
         assert rows[0].pmax - rows[0].pmin < 0.02
         assert (rows[0].states, rows[0].transitions, rows[0].iterations) == (0, 0, 20_000)
 
+    @pytest.mark.parametrize("profile, fields, refused", [
+        ("lt-linear", {"k1": 2}, "k1"),
+        ("lt-linear", {"x": (F(1),), "ratio": F(1, 2)}, "ratio"),
+        ("rs", {"k2": 7, "k1": 7}, "k1"),
+        ("explicit", {"ratio": F(1, 2), "k1": 10, "k2": 10, "x": (F(1),)}, "ratio"),
+    ])
+    def test_field_the_sweep_does_not_read_is_refused(self, profile, fields, refused):
+        # the first such field in the order ratio, k1, k2, x is named
+        with pytest.raises(ParameterError, match=f"^field '{refused}': not read by "):
+            SweepSpec(attacker="slice", profile=profile, n_from=10, n_to=10, m=3,
+                      a=(F(1, 10), F(1, 5), F(3, 10)), **fields)
+
     def test_attack_vector_interval_rule(self):
         spec = SweepSpec(attacker="provider", profile="rs", n_from=4, n_to=4,
                          n_step=1, m=5, a_interval=(F(0), F(1, 4)))
@@ -295,6 +311,40 @@ class TestPool:
         for line in lines:
             n, pmin = line.split(",")[:2]
             assert (f"n={n}: BrokenProcessPool: " in err) == (pmin == "")
+
+    def test_stopped_pool_gives_error_rows(self, tmp_path):
+        # The pool's manager thread dies when it cannot start the call queue's
+        # feeder thread (as under a tight RLIMIT_AS), and no point ever runs.
+        # The child leads its own process group, so killpg ends a hung sweep's workers too.
+        child = ("import multiprocessing, multiprocessing.queues, os, sys\n"
+                 "from dispersal_mc import cli\n"
+                 "def no_thread(self):\n"
+                 "    raise RuntimeError(\"can't start new thread\")\n"
+                 "multiprocessing.queues.Queue._start_thread = no_thread\n"
+                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                 "code = cli.main(sys.argv[1:])\n"
+                 "print(multiprocessing.active_children())\n"
+                 "sys.exit(code)\n")
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps({"attacker": "slice", "n_from": 2, "n_to": 5,
+                                         "n_step": 1, "m": 2, "a": ["1/5", "2/5"]}))
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "sweep", "--spec", str(spec_path),
+             "--out", str(out_path)], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the sweep hung after its pool stopped")
+        assert proc.returncode == 1
+        assert out.splitlines()[-1] == "[]"
+        assert out_path.read_text().splitlines()[1:] == [
+            f"{n},,,0,0,0,0" for n in (2, 3, 4, 5)]
+        for n in (2, 3, 4, 5):
+            assert f"n={n}: RuntimeError: the pool stopped before this point ran\n" in err
 
 
 class TestCsv:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from dispersal_mc import (AbstractionPreconditionError, Channel, Distribution,
                           ModelParams, ParameterError, build_client,
                           build_composed, expand,
-                          expand_channels, lt_linear_profile, round_half_up,
-                          rs_profile)
+                          expand_channels, lt_linear_profile, round_half_up)
 from dispersal_mc.models import (HACKED, build_provider_attacker,
-                                 build_slice_attacker)
+                                 build_slice_attacker, make_params, thresholds)
 from dispersal_mc.solver import exact_reach, solve_reach
 from helpers import explore_client_states, random_params, validate
 
@@ -67,13 +66,25 @@ class TestModelParams:
 
 class TestProfiles:
     def test_rs_rounding(self):
-        assert rs_profile(10, F(7, 10)) == (7, 7)
-        assert rs_profile(10, F(1)) == (10, 10)
-        assert rs_profile(5, F(7, 10)) == (4, 4)  # 3.5 rounds half-up
+        assert thresholds("rs", 10, ratio=F(7, 10))[:2] == (7, 7)
+        assert thresholds("rs", 10, ratio=F(1))[:2] == (10, 10)
+        assert thresholds("rs", 5, ratio=F(7, 10))[:2] == (4, 4)  # 3.5 rounds half-up
 
     def test_rs_zero_threshold_rejected(self):
         with pytest.raises(ParameterError, match="zero"):
-            rs_profile(1, F(1, 10))
+            thresholds("rs", 1, ratio=F(1, 10))
+
+    @pytest.mark.parametrize("profile, fields, refused", [
+        ("lt-linear", {"k1": 6, "k2": 8, "ratio": F(1, 2), "x": (F(1),)}, "ratio"),
+        ("lt-linear", {"k1": 6, "k2": 8, "x": (F(1),) * 5}, "x"),
+        ("rs", {"ratio": F(1, 2), "x": (F(1),) * 6}, "x"),
+        ("explicit", {"ratio": F(1, 2), "k1": 5, "k2": 5, "x": (F(1),) * 6}, "ratio"),
+    ])
+    def test_field_the_profile_does_not_read_is_refused(self, profile, fields, refused):
+        # the first such field in the order ratio, k1, k2, x is named
+        with pytest.raises(ParameterError, match=f"^field '{refused}': not read by "
+                                                 f"the {profile} profile$"):
+            make_params(profile, 10, 3, (F(1, 10), F(1, 5), F(3, 10)), **fields)
 
     def test_round_half_up(self):
         assert round_half_up(F(5, 2)) == 3
