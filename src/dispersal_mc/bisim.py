@@ -5,8 +5,10 @@ decisions, and machine checks of the two model-shrinking abstractions
 Coarsest partitions come from one reverse-index pass on unions whose edges
 all go to later states (Dovier, Piazza & Policriti, TCS 2004), and else from
 worklist refinement (Valmari & Franceschinis, TACAS 2010). A partition is
-one tuple of block ids, numbered by smallest member. Signatures hold exact
-rational masses; floating arithmetic never enters a bisimulation decision.
+one tuple of block ids, numbered by smallest member. Signatures hold ids of
+exact rational masses, interned once per union, so equal masses share an id
+and signatures are still compared exactly; floating arithmetic never enters a
+bisimulation decision.
 """
 
 from __future__ import annotations
@@ -29,23 +31,51 @@ class NotBisimulationError(ValueError):
         self.counterexample = counterexample
 
 
-def _layout(m: Mdp) -> tuple:
+class _Masses:
+    """Exact masses interned as ids, one table per union. A mass is keyed by
+    its lowest terms, so equal rationals share an id and no ``Fraction`` is
+    hashed; the sum of two masses that meet in one block is memoised by their
+    unordered id pair."""
+
+    def __init__(self):
+        self.ids: dict[tuple[int, int], int] = {}
+        self.sums: dict[tuple[int, int], int] = {}
+        self.mass: list[Fraction] = []
+
+    def id(self, w: Fraction) -> int:
+        i = self.ids.setdefault(w.as_integer_ratio(), len(self.mass))
+        if i == len(self.mass):
+            self.mass.append(w)
+        return i
+
+    def sum(self, i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        k = self.sums.get(key)
+        if k is None:
+            k = self.sums[key] = self.id(self.mass[i] + self.mass[j])
+        return k
+
+
+def _layout(m: Mdp, masses: _Masses) -> tuple:
     return (m.first_choice, m.choice_action, m.first_edge, m.targets, m.weight_ids,
-            m.weights, m.actions)
+            [masses.id(w) for w in m.weights], m.actions, masses)
 
 
 def _signature(layout: tuple, s: int, block_of, offset=0):
     """Canonical refinement key of state ``s`` of a model with the given
     ``_layout``, whose states sit ``offset`` further on in ``block_of``:
-    action -> block-mass vector."""
-    fc, ca, fe, tg, wi, weights, actions = layout
+    action -> block-mass vector, each mass an id of the layout's table."""
+    fc, ca, fe, tg, wi, wid, actions, masses = layout
     sig = []
     for c in range(fc[s], fc[s + 1]):
-        acc: dict[int, Fraction] = {}
-        for e in range(fe[c], fe[c + 1]):
+        e, end = fe[c], fe[c + 1]
+        if end - e == 1:
+            sig.append((actions[ca[c]], ((block_of[tg[e] + offset], wid[wi[e]]),)))
+            continue
+        acc: dict[int, int] = {}
+        for e in range(e, end):
             b = block_of[tg[e] + offset]
-            w = weights[wi[e]]
-            acc[b] = acc[b] + w if b in acc else w
+            acc[b] = masses.sum(acc[b], wid[wi[e]]) if b in acc else wid[wi[e]]
         sig.append((actions[ca[c]], tuple(sorted(acc.items()))))
     sig.sort()
     return tuple(sig)
@@ -67,16 +97,16 @@ def _refine(models: Sequence[Mdp]) -> tuple[int, ...]:
     group gets a fresh one. It stops when no state moves. Blocks are numbered
     by smallest member.
     """
-    home, labels = [], []  # per state of the union: (its model's layout, offset)
+    home, labels, masses = [], [], _Masses()  # per state: (its model's layout, offset)
     for m in models:
-        home += [(_layout(m), len(labels))] * m.state_count
+        home += [(_layout(m, masses), len(labels))] * m.state_count
         labels += m.labels
     block_of, key_id, dirty = [-1] * len(labels), {}, ()
     for u in reversed(range(len(labels))):
         layout, off = home[u]
         sig = _signature(layout, u - off, block_of, off)
         b = block_of[u] = key_id.setdefault((labels[u], sig), len(key_id))
-        if b == len(key_id) - 1 and any(masses[0][0] < 0 for _, masses in sig):
+        if b == len(key_id) - 1 and any(pairs[0][0] < 0 for _, pairs in sig):
             dirty = range(len(labels))
             break
     if dirty:
@@ -133,7 +163,7 @@ def quotient(m: Mdp, block_of: Sequence[Hashable]) -> Mdp:
         raise ValueError(f"{len(block_of)} block ids for {m.state_count} states")
     ids: dict = {}
     block_of = [ids.setdefault(b, len(ids)) for b in block_of]
-    layout, reps, rep_sigs = _layout(m), [], []
+    layout, reps, rep_sigs = _layout(m, _Masses()), [], []
     for s, b in enumerate(block_of):
         sig = _signature(layout, s, block_of)
         if b == len(reps):
@@ -297,16 +327,17 @@ def verify_channel_cutoff(f: Distribution, small: Sequence[Channel],
     return _verify("channel-cutoff", sides, witness)
 
 
-def verify_capacity_abstraction(params: ModelParams) -> AbstractionReport:
+def verify_capacity_abstraction(params: ModelParams,
+                                attacker: str = "provider") -> AbstractionReport:
     """Check that dropping per-provider occupancy counters is behaviour-preserving.
 
-    Builds the provider-attack composition with the full client and with the
+    Builds the ``attacker`` composition with the full client and with the
     counter-free client, decides bisimilarity, and checks that agreement on
     all remaining variables sits inside the computed bisimulation. Refuses
     c < n, where the abstraction is unsound, before expanding either side.
     """
     build_client(params, reduced=True)  # refuses c < n; the larger full side expands first
-    sides = {name: build_composed(params, "provider", reduced=name == "reduced")
+    sides = {name: build_composed(params, attacker, reduced=name == "reduced")
              for name in ("full", "reduced")}
     shared = sides["reduced"].variables
     return _verify("capacity-abstraction", sides,

@@ -82,7 +82,7 @@ def _cmd_verify_thm2(args, out) -> int:
 
 def _cmd_verify_thm3(args, out) -> int:
     params = load_model_params(args.config)
-    report = verify_capacity_abstraction(params)
+    report = verify_capacity_abstraction(params, args.attacker)
     _emit_report(report, args.format, out)
     return 0 if report.equivalent else 1
 
@@ -166,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the capacity-counter-elimination equivalence "
                             "on an instance")
     p.add_argument("--config", required=True)
+    p.add_argument("--attacker", choices=("slice", "provider"), default="provider")
     add_format(p)
     p.set_defaults(func=_cmd_verify_thm3)
 

@@ -246,6 +246,86 @@ class TestBisimilar:
             report.probes["big"]["pmax"], abs=1e-9)
 
 
+def _sink_states(terminal, loop):
+    """Rows of the given terminal states: none, or a self-loop each when
+    ``loop`` (an edge back to the same state sends refinement to worklist
+    rounds)."""
+    return {s: {"a": {s: 1}} if loop else {} for s in terminal}
+
+
+class TestMassInterning:
+    """Masses that meet in one block are summed exactly and interned in one
+    table for the union, so equal rationals compare equal across models."""
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["forward", "cyclic"])
+    def test_merged_quarters_match_a_direct_half(self, loop):
+        split = make_mdp({0: {"a": {1: F(1, 4), 2: F(1, 4), 3: F(1, 2)}},
+                          **_sink_states((1, 2, 3), loop)}, labels={1: ("g",), 2: ("g",)})
+        direct = make_mdp({0: {"a": {1: F(1, 2), 2: F(1, 2)}}, **_sink_states((1, 2), loop)},
+                          labels={1: ("g",)}, ap=("g",))
+        res = bisimilar(split, direct)
+        assert res.equivalent, res.reason
+        assert res.blocks == 3
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["forward", "cyclic"])
+    def test_weight_tables_in_different_orders(self, loop):
+        split = make_mdp({0: {"a": {1: F(1, 4), 2: F(1, 4), 3: F(1, 2)}},
+                          **_sink_states((1, 2, 3), loop)}, labels={1: ("g",), 2: ("g",)})
+        direct = make_mdp({0: {"a": {1: F(1, 2), 2: F(1, 4), 3: F(1, 4)}},
+                           **_sink_states((1, 2, 3), loop)}, labels={1: ("g",)})
+        assert split.weights[:2] == (F(1, 4), F(1, 2))
+        assert direct.weights[:2] == (F(1, 2), F(1, 4))
+        for pair in ((split, direct), (direct, split)):
+            res = bisimilar(*pair)
+            assert res.equivalent, res.reason
+            assert res.blocks == 3
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["forward", "cyclic"])
+    def test_unequal_merged_mass_is_told_apart(self, loop):
+        split = make_mdp({0: {"a": {1: F(1, 4), 2: F(1, 8), 3: F(5, 8)}},
+                          **_sink_states((1, 2, 3), loop)}, labels={1: ("g",), 2: ("g",)})
+        direct = make_mdp({0: {"a": {1: F(1, 2), 2: F(1, 2)}}, **_sink_states((1, 2), loop)},
+                          labels={1: ("g",)}, ap=("g",))
+        assert not bisimilar(split, direct).equivalent
+
+    def test_quotient_accepts_merged_mass_equal_to_direct_weight(self):
+        # state 0 sends 1/4 + 1/4 into block 1, state 1 sends 1/2 there directly
+        m = make_mdp({0: {"a": {2: F(1, 4), 3: F(1, 4), 4: F(1, 2)}},
+                      1: {"a": {2: F(1, 2), 4: F(1, 2)}}, 2: {}, 3: {}, 4: {}},
+                     labels={2: ("g",), 3: ("g",)})
+        q = quotient(m, (0, 0, 1, 1, 2))
+        assert q.state_count == 3
+        assert q.choices(0) == [("a", ((1, F(1, 2)), (2, F(1, 2))))]
+
+    def test_capacity_union_hashes_no_fraction(self, monkeypatch):
+        params = ModelParams(n=14, m=3, c=14, k1=8, k2=11, a=A3,
+                             x=lt_linear_profile(8, 11, 14),
+                             p=Distribution.uniform(3))
+        full = build_composed(params, "provider", reduced=False)
+        reduced = build_composed(params, "provider", reduced=True)
+        tables = []
+
+        class Masses(bisim._Masses):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        calls = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(bisim, "_Masses", Masses)
+        monkeypatch.setattr(Fraction, "__hash__", lambda w: calls.append(w) or fraction_hash(w))
+        res = bisimilar(full, reduced)
+        monkeypatch.undo()
+        assert res.equivalent and res.blocks == 377
+        # one table for the union: 11 distinct masses, and two merged id pairs
+        # whose sums add one mass; signing the union's 25,140 states hashed
+        # Fractions 27,832 times before masses were interned as ids
+        [table] = tables
+        assert len(table.mass) == 12 and len(table.sums) == 2
+        assert len(calls) <= len(table.mass) + len(table.sums)
+        assert len(calls) == 0
+
+
 class TestChannelCutoff:
     def test_two_channels_expanded(self):
         f = Distribution.uniform(2)
@@ -355,13 +435,25 @@ class TestCapacityAbstraction:
             ModelParams(n=4, m=3, c=5, k1=2, k2=3, a=(F(1, 4), F(1, 2), F(3, 4)),
                         x=lt_linear_profile(2, 3, 4), p=(F(1, 2), F(1, 4), F(1, 4))),
         ):
-            full = build_composed(params, "slice", reduced=False)
-            reduced = build_composed(params, "slice", reduced=True)
-            res = bisimilar(full, reduced)
-            assert res.equivalent, res.reason
-            a, b = solve_reach(full, HACKED), solve_reach(reduced, HACKED)
-            assert b.pmax == pytest.approx(a.pmax, abs=1e-9)
-            assert b.pmin == pytest.approx(a.pmin, abs=1e-9)
+            report = verify_capacity_abstraction(params, "slice")
+            assert report.equivalent, report.reason
+            a, b = report.probes["full"], report.probes["reduced"]
+            assert b["pmax"] == pytest.approx(a["pmax"], abs=1e-9)
+            assert b["pmin"] == pytest.approx(a["pmin"], abs=1e-9)
+
+    @pytest.mark.parametrize("a, n, states, blocks", [
+        (A3, 20, (133_574, 1_074), 675),
+        (tuple(F(i, 20) for i in range(1, 6)), 10, (163_318, 434), 283),
+    ], ids=["m3-n20", "m5-n10"])
+    def test_slice_attacker_at_sweep_sizes(self, a, n, states, blocks):
+        k1, k2 = round(3 * n / 5), round(4 * n / 5)
+        params = ModelParams(n=n, m=len(a), c=n, k1=k1, k2=k2, a=a,
+                             x=lt_linear_profile(k1, k2, n),
+                             p=Distribution.uniform(len(a)))
+        report = verify_capacity_abstraction(params, attacker="slice")
+        assert report.equivalent, report.reason
+        assert report.states == states
+        assert report.blocks == blocks
 
 
 class TestRoundReference:

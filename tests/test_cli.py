@@ -252,6 +252,16 @@ class TestCli:
         assert code == 0
         assert "equivalent=True" in out
 
+    def test_verify_thm3_attacker_defaults_to_provider(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path, "cap.json", THM3)
+        seen, verify = [], cli.verify_capacity_abstraction
+        monkeypatch.setattr(cli, "verify_capacity_abstraction", lambda params, attacker:
+                            seen.append(attacker) or verify(params, attacker))
+        for flags in (["--attacker", "slice"], ["--attacker", "provider"], []):
+            code, out = run(["verify-thm3", "--config", str(cfg), *flags])
+            assert code == 0 and "equivalent=True" in out.splitlines()
+        assert seen == ["slice", "provider", "provider"]
+
     def test_verify_thm2_json_report(self, tmp_path):
         doc = {"n": 3, "k1": 2, "k2": 3,
                "channels": [{"size": 2, "a": "0.1"}, {"size": 1, "a": "0.3"}]}
@@ -462,7 +472,7 @@ class TestCli:
         m = make_mdp({0: {"a": {1: 1}}, 1: {}}, labels={1: (HACKED,)}, ap=(HACKED,))
         report = _verify("demo", {"full": m, "reduced": m},
                          {"full": lambda s: 0, "reduced": lambda s: 0})
-        monkeypatch.setattr(cli, "verify_capacity_abstraction", lambda params: report)
+        monkeypatch.setattr(cli, "verify_capacity_abstraction", lambda params, attacker: report)
         code, out = run(["verify-thm3", "--config", str(write_json(tmp_path, "t.json", THM3))])
         lines = out.splitlines()
         assert code == 1 and "equivalent=False" in lines
