@@ -69,7 +69,7 @@ def _signature(layout: tuple, s: int, block_of, offset=0):
     sig = []
     for c in range(fc[s], fc[s + 1]):
         e, end = fe[c], fe[c + 1]
-        if end - e == 1:
+        if end - e == 1:  # most choices of a provider union
             sig.append((actions[ca[c]], ((block_of[tg[e] + offset], wid[wi[e]]),)))
             continue
         acc: dict[int, int] = {}
